@@ -12,9 +12,8 @@ to uninstrumented ones.
 Three instrument kinds:
 
 * :class:`Counter` — monotonic event count, optionally split by labels
-  (``counter.increment(tag="send")``).  Back-compatible with the old
-  ``EventCounter`` surface (``increment``/``snapshot``/``delta``/
-  ``reset``/``count``).
+  (``counter.increment(tag="send")``) with ``snapshot``/``delta``/
+  ``reset``.
 * :class:`Gauge` — a last-written value (queue depths, board sizes).
 * :class:`Histogram` — streaming count/sum/min/max of observations
   (per-point wall seconds, per-run communication speeds).
@@ -45,9 +44,10 @@ def _label_key(labels: dict) -> str:
     return ",".join(f"{k}={labels[k]}" for k in sorted(labels))
 
 
-#: The exec-layer rank fanout increments counters from pool threads; a
-#: single shared lock keeps ``count += n`` from losing updates.  One
-#: uncontended acquire per increment is noise next to the work counted.
+#: Counters can be incremented from more than one thread (an embedded
+#: campaign coordinator serves requests on its own thread); a single
+#: shared lock keeps ``count += n`` from losing updates.  One uncontended
+#: acquire per increment is noise next to the work counted.
 _COUNTER_LOCK = threading.Lock()
 
 
@@ -83,7 +83,7 @@ class Counter:
     def delta(self, since: int) -> int:
         return self.count - since
 
-    def __repr__(self) -> str:  # matches the old EventCounter dataclass repr
+    def __repr__(self) -> str:
         return f"Counter(name={self.name!r}, count={self.count!r})"
 
 

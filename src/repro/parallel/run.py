@@ -105,21 +105,6 @@ class RunOptions:
         Optional forced rank grid ``(gx, gy, gz)`` for the spatial
         strategy (product must equal the rank count); ``None`` picks the
         greedy near-cubic grid.  Ignored for ``strategy="replicated"``.
-    exec_workers:
-        Thread-pool size for the within-point rank fanout
-        (:class:`repro.parallel.exec.RankFanout`): ``0`` (default) keeps
-        the serial inline path, ``N > 0`` evaluates the non-shared
-        per-rank arithmetic (classic force blocks, PME spread slabs) of
-        one step concurrently.  A wall-clock knob only — results,
-        virtual timelines and store cache keys are bit-identical for
-        every value.
-    kernel:
-        Force-kernel backend, ``"numpy"`` (reference, default) or
-        ``"numba"`` (opt-in compiled mirror; raises at engine
-        construction if numba is not installed).  Bit-identical by
-        contract and — like ``exec_workers`` — deliberately not part of
-        :class:`~repro.core.design.DesignPoint`, so it can never leak
-        into campaign content addresses.
     """
 
     middleware: str | Middleware = "mpi"
@@ -131,19 +116,11 @@ class RunOptions:
     shared_compute: bool = True
     strategy: str = "replicated"
     spatial_grid: tuple[int, int, int] | None = None
-    exec_workers: int = 0
-    kernel: str = "numpy"
 
     def __post_init__(self) -> None:
         if self.strategy not in ("replicated", "spatial"):
             raise ValueError(
                 f"unknown strategy {self.strategy!r}; expected 'replicated' or 'spatial'"
-            )
-        if self.exec_workers < 0:
-            raise ValueError("exec_workers must be >= 0")
-        if self.kernel not in ("numpy", "numba"):
-            raise ValueError(
-                f"unknown kernel {self.kernel!r}; expected 'numpy' or 'numba'"
             )
 
     @classmethod
@@ -157,8 +134,6 @@ class RunOptions:
         trace: "CommTrace | None" = None,
         span_tracer: "SpanTracer | None" = None,
         shared_compute: bool = True,
-        exec_workers: int = 0,
-        kernel: str = "numpy",
     ) -> "RunOptions":
         """THE :class:`DesignPoint` → :class:`RunOptions` conversion.
 
@@ -179,8 +154,6 @@ class RunOptions:
             span_tracer=span_tracer,
             shared_compute=shared_compute,
             strategy=getattr(point, "strategy", "replicated"),
-            exec_workers=exec_workers,
-            kernel=kernel,
         )
 
     def replace(self, **changes) -> "RunOptions":
@@ -255,78 +228,23 @@ def run_parallel_md(
 
     shared = SharedComputeCache() if opts.shared_compute else None
 
-    # The rank fanout needs its per-rank engines to exist before any rank
-    # program runs (a family is registered once, on the driver), so with
-    # exec_workers > 0 the engines are pre-built here and handed into the
-    # programs; with exec_workers == 0 each program builds its own, as
-    # before.  Either way the engines are the same objects the programs
-    # use inline, so pooled and serial execution share every code path.
-    n_ranks = cluster.n_ranks
-    fanout = None
-    classics: list = [None] * n_ranks
-    ppmes: list = [None] * n_ranks
-    if opts.exec_workers > 0:
-        from .exec import RankFanout
-        from .pclassic import ParallelClassic
-        from .ppme import ParallelPME
+    procs = []
+    for rank in range(cluster.n_ranks):
+        gen = rank_program(
+            ep=world.endpoints[rank],
+            mw=mw,
+            system=rank_system_clone(system),
+            decomp=decomp,
+            cost=opts.cost,
+            config=config,
+            positions0=positions,
+            velocities0=velocities,
+            shared=shared,
+        )
+        procs.append(sim.spawn(gen, name=f"rank{rank}"))
 
-        fanout = RankFanout(n_ranks, opts.exec_workers, span_tracer=opts.span_tracer)
-        systems = [rank_system_clone(system) for _ in range(n_ranks)]
-        classics = [
-            ParallelClassic(
-                systems[r], decomp, r, opts.cost,
-                shared=shared, kernel_backend=opts.kernel,
-            )
-            for r in range(n_ranks)
-        ]
-        fanout.register("classic", [c.compute for c in classics])
-        if system.uses_pme:
-            ppmes = [
-                ParallelPME(
-                    pme=system.pme,
-                    box=system.box,
-                    decomp=decomp,
-                    exclusions=system.exclusions,
-                    charges=system.charges,
-                    n_ranks=n_ranks,
-                    rank=r,
-                    cost=opts.cost,
-                    shared=shared,
-                    fanout=fanout,
-                )
-                for r in range(n_ranks)
-            ]
-            fanout.register("pme-spread", [p._spread_slab for p in ppmes])
-    else:
-        systems = None
-
-    try:
-        procs = []
-        for rank in range(n_ranks):
-            gen = rank_program(
-                ep=world.endpoints[rank],
-                mw=mw,
-                system=systems[rank] if systems is not None else rank_system_clone(system),
-                decomp=decomp,
-                cost=opts.cost,
-                config=config,
-                positions0=positions,
-                velocities0=velocities,
-                shared=shared,
-                fanout=fanout,
-                kernel=opts.kernel,
-                classic=classics[rank],
-                ppme=ppmes[rank],
-            )
-            procs.append(sim.spawn(gen, name=f"rank{rank}"))
-
-        sim.run()
-    finally:
-        if fanout is not None:
-            fanout.close()
+    sim.run()
     world.assert_drained()
-    if fanout is not None:
-        fanout.assert_drained()
     if world.sanitizer is not None:
         world.sanitizer.check_final(world)
 
@@ -391,7 +309,6 @@ def _run_spatial(
             ledger=ledger,
             positions0=positions,
             velocities0=velocities,
-            kernel_backend=opts.kernel,
         )
         gen = spatial_rank_program(
             ep=world.endpoints[rank],

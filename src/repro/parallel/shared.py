@@ -88,9 +88,9 @@ class SharedComputeCache:
     _once: dict[Any, Any] = field(default_factory=dict, repr=False)
     _statics_ref: weakref.ref | None = field(default=None, repr=False)
     _statics: tuple | None = field(default=None, repr=False)
-    # pair_statics is reached from inside ParallelClassic.compute, which
-    # the exec layer's rank fanout may run in pool threads concurrently —
-    # unlike the yield-point-serialized methods above, it needs a lock
+    # pair_statics is reached from inside ParallelClassic.compute rather
+    # than between rank-program yields like the methods above; the lock
+    # keeps its check-then-fill atomic whichever thread drives the run
     _statics_lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     # ------------------------------------------------------------------

@@ -13,11 +13,10 @@ Rules that keep reuse bitwise-invisible:
 * Buffers are only handed to exact-rewrite operations (``out=`` ufunc
   calls, whole-array assignment); ufuncs with ``out=`` produce the same
   bits as their allocating form.
-* A cache instance is **never shared across simulated ranks or
-  threads**: each :class:`~repro.pme.grid.ChargeMesh` /
-  :class:`~repro.pme.pme.PME` / ``ParallelPME`` owns a private cache, so
-  a fanned-out rank task can never scribble over another rank's
-  in-flight arrays.
+* A cache instance is **never shared across simulated ranks**: each
+  :class:`~repro.pme.grid.ChargeMesh` / :class:`~repro.pme.pme.PME` /
+  ``ParallelPME`` owns a private cache, so another rank's step can never
+  scribble over arrays a rank holds across a communication yield.
 * A buffer's contents are assumed stale on every
   :meth:`PlanCache.buffer` call; callers must fully overwrite it.
 
