@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from ..md.box import PeriodicBox
 from ..md.forcefield import ForceField, default_forcefield
@@ -121,7 +122,7 @@ def build_myoglobin(
         for sz in (-9.5, 9.5)
     ]
 
-    topo: Topology | None = None
+    segment_topos: list[Topology] = []
     coords_parts: list[np.ndarray] = []
     res_cursor = 0
     for s, seg_len in enumerate(seg_lengths):
@@ -147,13 +148,9 @@ def build_myoglobin(
         seg_xyz = seg_xyz + center + slots[s]
 
         coords_parts.append(seg_xyz)
-        topo = seg_topo if topo is None else topo.merge(seg_topo)
+        segment_topos.append(seg_topo)
         res_cursor += seg_len
-    assert topo is not None
     protein_xyz = np.vstack(coords_parts)
-    # 1.4 A catches catastrophic overlaps while admitting the tight
-    # O...H-N helix hydrogen bonds the ideal-torsion build produces (~1.46 A)
-    _assert_no_clashes(topo, protein_xyz, box, min_dist=1.4)
 
     expected_protein = (
         sum(residue_size(k) for k in ks) + 2 * N_SEGMENTS + 1
@@ -165,13 +162,12 @@ def build_myoglobin(
 
     # ---- hetero groups: CO in the closest free pocket, sulfate next ---
     candidates = lattice_points(box.lengths, spacing=3.1, margin=1.8)
-    d_prot = _min_distance_to(candidates, protein_xyz, box)
+    d_prot = _nearest_distance(candidates, protein_xyz, box)
     pocket_order = np.argsort(
         np.where(d_prot >= 3.2, d_prot, np.inf), kind="stable"
     )
     co_site = candidates[pocket_order[0]]
     co_xyz = co_coords(ff, co_site)
-    topo = topo.merge(co_topology())
 
     far_enough = np.linalg.norm(
         box.min_image(candidates - co_site[None, :]), axis=1
@@ -180,12 +176,11 @@ def build_myoglobin(
         int(i) for i in pocket_order if d_prot[i] >= 3.6 and far_enough[i]
     )
     sulfate_xyz = sulfate_coords(ff, candidates[sulfate_idx])
-    topo = topo.merge(sulfate_topology())
     placed = np.vstack([protein_xyz, co_xyz, sulfate_xyz])
 
     # ---- waters: solvation shell on a lattice --------------------------
     # distance of every candidate to the nearest placed atom (min-image)
-    d_min = _min_distance_to(candidates, placed, box)
+    d_min = _nearest_distance(candidates, placed, box)
     open_sites = candidates[d_min >= 2.6]
     d_open = d_min[d_min >= 2.6]
     if len(open_sites) < n_waters:
@@ -193,23 +188,41 @@ def build_myoglobin(
     order = np.argsort(d_open, kind="stable")  # closest to the solute first
     chosen = open_sites[order[:n_waters]]
 
-    water_parts = []
+    # deterministic orientation retries: keep every intermolecular contact
+    # above 1.5 A (two hydrogens of adjacent lattice waters can otherwise
+    # end up nose-to-nose).  The solute tree proposes the atoms within
+    # 1.5 A (padded); the placed waters are few enough to scan directly.
+    contact = 1.5
+    solute_tree = cKDTree(box.wrap(placed), boxsize=box.lengths)
+    water_xyz = np.empty((3 * n_waters, 3), dtype=np.float64)
     water_topos = []
-    occupied = placed
     for w in range(n_waters):
         water_topos.append(water_topology(residue_index=w))
-        # deterministic orientation retries: keep every intermolecular
-        # contact above 1.5 A (two hydrogens of adjacent lattice waters can
-        # otherwise end up nose-to-nose)
         for attempt in range(16):
             xyz = water_coords(ff, chosen[w], orientation_seed=w + 1000 * attempt)
-            d = _min_distance_to(xyz, occupied, box)
-            if d.min() >= 1.5:
+            near = solute_tree.query_ball_point(
+                box.wrap(xyz), contact * (1.0 + 1e-9), return_sorted=False
+            )
+            nearby = np.concatenate(
+                [placed[np.concatenate(near).astype(np.int64)], water_xyz[: 3 * w]]
+            )
+            d2 = _squared_distances(xyz[:, None, :] - nearby[None, :, :], box)
+            if d2.size == 0 or np.sqrt(d2.min()) >= contact:
                 break
-        water_parts.append(xyz)
-        occupied = np.vstack([occupied, xyz])
-    topo = Topology.concat([topo] + water_topos)
-    positions = np.vstack([placed] + water_parts)
+        else:
+            raise RuntimeError(
+                f"water {w}: no clash-free orientation in 16 attempts"
+            )
+        water_xyz[3 * w : 3 * w + 3] = xyz
+    topo = Topology.concat(
+        [*segment_topos, co_topology(), sulfate_topology(), *water_topos]
+    )
+    positions = np.vstack([placed, water_xyz])
+    # the protein leads the topology, so its exclusions are the same here
+    # as in a protein-only topology.  1.4 A catches catastrophic overlaps
+    # while admitting the tight O...H-N helix hydrogen bonds the
+    # ideal-torsion build produces (~1.46 A)
+    _assert_no_clashes(topo, protein_xyz, box, min_dist=1.4)
 
     if len(positions) != TARGET_ATOMS or topo.n_atoms != TARGET_ATOMS:
         if n_waters == N_WATERS:
@@ -234,9 +247,7 @@ def _assert_no_clashes(
     topo: Topology, positions: np.ndarray, box: PeriodicBox, min_dist: float
 ) -> None:
     """Fail loudly if any non-bonded pair sits closer than ``min_dist``."""
-    from ..md.neighborlist import brute_force_pairs
-
-    pairs = brute_force_pairs(positions, box, min_dist)
+    pairs = _close_pairs(positions, box, min_dist)
     if len(pairs) == 0:
         return
     excl = {(int(i), int(j)) for i, j in topo.exclusion_pairs()}
@@ -248,6 +259,57 @@ def _assert_no_clashes(
             )
 
 
+# Local searches below follow the neighbour list's rule: a periodic tree
+# only *proposes* candidates (its radius padded by a relative 1e-9), and
+# the exact min-image expression of the all-pairs scans decides and
+# measures, so every decision and value equals the all-pairs result.
+
+
+def _squared_distances(dr: np.ndarray, box: PeriodicBox) -> np.ndarray:
+    """Exact squared min-image lengths of raw displacements, shape (n, m, 3)."""
+    dr = box.min_image(dr)
+    return np.einsum("ijk,ijk->ij", dr, dr)
+
+
+def _close_pairs(positions: np.ndarray, box: PeriodicBox, cutoff: float) -> np.ndarray:
+    """All pairs (i < j) within ``cutoff``, sorted: ``brute_force_pairs``' set."""
+    cand = cKDTree(box.wrap(positions), boxsize=box.lengths).query_pairs(
+        cutoff * (1.0 + 1e-9), output_type="ndarray"
+    )
+    i = cand[:, 0].astype(np.int64)
+    j = cand[:, 1].astype(np.int64)
+    d2 = _squared_distances((positions[i] - positions[j])[:, None, :], box)[:, 0]
+    keep = d2 <= cutoff * cutoff
+    i, j = i[keep], j[keep]
+    order = np.lexsort((j, i))
+    return np.stack([i[order], j[order]], axis=1)
+
+
+def _nearest_distance(
+    points: np.ndarray, targets: np.ndarray, box: PeriodicBox, k: int = 16
+) -> np.ndarray:
+    """``_min_distance_to(points, targets, box)``, bit for bit, by local search.
+
+    The tree proposes each point's ``k`` nearest targets and the exact
+    expression measures them.  A target left out lies at least the k-th
+    tree distance away, so when that distance is within 1e-9 of the
+    measured minimum (relative, or absolute near zero: a possible tie
+    beyond ``k``) the point falls back to the full scan.
+    """
+    k = min(k, len(targets))
+    tree = cKDTree(box.wrap(targets), boxsize=box.lengths)
+    tree_d, idx = tree.query(box.wrap(points), k=k)
+    tree_d = tree_d.reshape(len(points), k)
+    idx = idx.reshape(len(points), k)
+    out = np.sqrt(
+        _squared_distances(points[:, None, :] - targets[idx], box).min(axis=1)
+    )
+    tie = tree_d[:, -1] <= out + 1e-9 * (1.0 + out)
+    if tie.any():
+        out[tie] = _min_distance_to(points[tie], targets, box)
+    return out
+
+
 def _min_distance_to(
     points: np.ndarray, targets: np.ndarray, box: PeriodicBox, chunk: int = 256
 ) -> np.ndarray:
@@ -255,6 +317,6 @@ def _min_distance_to(
     out = np.empty(len(points), dtype=np.float64)
     for start in range(0, len(points), chunk):
         sl = slice(start, start + chunk)
-        dr = box.min_image(points[sl, None, :] - targets[None, :, :])
-        out[sl] = np.sqrt(np.einsum("ijk,ijk->ij", dr, dr).min(axis=1))
+        d2 = _squared_distances(points[sl, None, :] - targets[None, :, :], box)
+        out[sl] = np.sqrt(d2.min(axis=1))
     return out
