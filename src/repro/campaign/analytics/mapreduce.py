@@ -18,9 +18,9 @@ worker count or shard arrival order:
 * reducers never read the wall clock, worker count, or host identity
   into the report document.
 
-The fan-out itself reuses the campaign engine's generic worker pool
-(:func:`repro.campaign.engine.pool_map`), the same plumbing ``campaign
-run`` and ``verify --workers`` execute points with.
+The fan-out itself is the campaign engine's one scheduler
+(:func:`repro.campaign.engine.pool_results` over ``pool_map``), the
+same loop ``campaign run`` and ``verify`` execute points with.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 import warnings
 from pathlib import Path
 
-from ..engine import pool_map
+from ..engine import pool_results
 from ..store import ResultStore, record_to_dict
 
 __all__ = [
@@ -92,11 +92,15 @@ def map_shard(path: str | Path) -> dict:
 
 
 def _map_worker(payload: dict, out_queue) -> None:
-    """Worker-process entry for the map stage (pool_map protocol)."""
+    """:func:`~repro.campaign.engine.pool_map` target for the map stage.
+
+    Only ``Exception`` is posted, so a ``KeyboardInterrupt`` inline
+    reaches the caller instead of becoming a map-stage error.
+    """
     try:
         out_queue.put((payload["key"], "ok", map_shard(payload["path"]), None, None))
-    except BaseException as exc:
-        out_queue.put((payload["key"], "error", None, f"{type(exc).__name__}: {exc}", None))
+    except Exception as exc:
+        out_queue.put((payload["key"], "failed", None, f"{type(exc).__name__}: {exc}", None))
 
 
 def map_shards(store_root: str | Path, n_workers: int = 0) -> list[dict]:
@@ -107,7 +111,7 @@ def map_shards(store_root: str | Path, n_workers: int = 0) -> list[dict]:
     """
     shards = discover_shards(store_root)
     payloads = [{"key": str(p), "path": str(p)} for p in shards]
-    docs, errors, _ = pool_map(_map_worker, payloads, n_workers)
+    docs, errors = pool_results(_map_worker, payloads, n_workers)
     if errors:
         key, error = sorted(errors.items())[0]
         raise AnalysisError(f"map stage failed on {Path(key).name}: {error}")

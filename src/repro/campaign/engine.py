@@ -2,15 +2,25 @@
 
 A *campaign* is any iterable of :class:`DesignPoint` over one named
 workload.  The engine partitions points into cache hits and misses
-against the :class:`ResultStore`, fans the misses out over a
-``multiprocessing`` worker pool (design points are independent — the
-classic embarrassingly-parallel sweep shape), and streams every
-completed record straight back into the store, so a killed campaign
-resumes exactly where it stopped.  Each point gets a per-point timeout
-(the worker is killed, not abandoned), bounded retries with exponential
-backoff, and the same deterministic crc32-derived platform seed the
-:class:`CharacterizationRunner` uses — an engine-run record is
-bit-identical to a runner-run one.
+against the :class:`ResultStore`, fans the misses out through
+:func:`pool_map` (design points are independent — the classic
+embarrassingly-parallel sweep shape), and streams every completed
+record straight back into the store, so a killed campaign resumes
+exactly where it stopped.  The same deterministic crc32-derived
+platform seed the :class:`CharacterizationRunner` uses makes an
+engine-run record bit-identical to a runner-run one.
+
+:func:`pool_map` is the package's one scheduler: every campaign miss,
+every ``verify`` re-run and every analytics map task is one attempt of
+one payload through it.  With ``n_workers >= 1`` each attempt is its own
+worker process, with a per-attempt timeout (the worker is killed, not
+abandoned) and bounded retries with exponential backoff.  With
+``n_workers == 0`` the same attempts run inline, in input order, through
+the same posting protocol — the reference path that parallel output is
+asserted byte-identical against.  Inline attempts get no timeout and
+hand back no metrics delta, since their work already counted in this
+process's registry; a worker process's delta is folded back by the
+caller.
 
 Wall-clock reads in this module time the *harness itself* (scheduling,
 per-point elapsed time for the manifest), never the simulation — hence
@@ -19,7 +29,6 @@ the ``noqa: REP104`` markers on those lines.
 
 from __future__ import annotations
 
-import hashlib
 import multiprocessing
 import queue as queue_mod
 import time
@@ -37,17 +46,30 @@ from ..parallel.costmodel import PIII_1GHZ, MachineCostModel
 from ..parallel.pmd import MDRunConfig
 from ..parallel.run import RunOptions, run_parallel_md
 from . import manifest as mf
-from .keys import SCHEMA_VERSION, cache_key, point_seed, workload_fingerprint
+from .keys import (
+    SCHEMA_VERSION,
+    cache_key,
+    campaign_id_for,
+    point_seed,
+    workload_fingerprint,
+)
 from .store import ResultStore, record_from_dict, record_to_dict
 from .workloads import build_workload
 
 __all__ = [
+    "RETRY_BACKOFF_S",
+    "Attempt",
     "CampaignEngine",
     "CampaignResult",
     "execute_point",
     "point_trace_path",
     "pool_map",
+    "pool_results",
 ]
+
+#: Base of the exponential retry delay: retry ``n`` of a payload waits
+#: ``RETRY_BACKOFF_S * 2**(n - 1)`` seconds before it launches.
+RETRY_BACKOFF_S = 0.25
 
 
 def point_trace_path(trace_dir, key: str) -> Path:
@@ -99,122 +121,156 @@ def execute_point(
 
 
 def _worker_main(task: dict, out_queue) -> None:
-    """Worker-process entry: run one point, post the record (or the error).
+    """:func:`pool_map` target: run one point, post the record (or the error).
 
-    The posted tuple carries the worker's own metrics delta (work
-    counters, comm-speed observations) so the parent can fold
-    per-process observability back into one campaign-wide snapshot.
+    ``task["run"]`` holds :func:`execute_point`'s arguments.  The posted
+    tuple carries this process's metrics delta (work counters,
+    comm-speed observations) so the parent can fold a worker process's
+    observability back into one campaign-wide snapshot.  Only
+    ``Exception`` is posted: a ``KeyboardInterrupt`` inline reaches the
+    caller, and a worker process killed by one reports its exit code.
     """
     before = REGISTRY.snapshot()  # fork copies the parent's live counters
     try:
-        record = execute_point(
-            task["workload"],
-            task["point"],
-            task["config"],
-            task["cost"],
-            task["base_seed"],
-            sanitize=task["sanitize"],
-            shared_compute=task.get("shared_compute", True),
-            span_trace_path=task.get("trace_path"),
-        )
+        record = execute_point(**task["run"])
         out_queue.put(
             (task["key"], "ok", record_to_dict(record), None, REGISTRY.delta(before))
         )
-    except BaseException as exc:  # the parent decides whether to retry
+    except Exception as exc:  # the scheduler decides whether to retry
         out_queue.put(
-            (task["key"], "error", None, f"{type(exc).__name__}: {exc}",
+            (task["key"], "failed", None, f"{type(exc).__name__}: {exc}",
              REGISTRY.delta(before))
         )
 
 
-class _InlineQueue:
-    """A list pretending to be a queue, for the ``n_workers <= 0`` path."""
-
-    def __init__(self) -> None:
-        self.items: list[tuple] = []
-
-    def put(self, item) -> None:
-        self.items.append(item)
+def _mp_context():
+    """Fork where available (shares the built workload pages); else spawn."""
+    methods = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 
 
-def pool_map(target, payloads, n_workers: int, mp_context=None):
-    """Fan independent payloads out over single-task worker processes.
+@dataclass
+class Attempt:
+    """One attempt of one payload, as :func:`pool_map` reports it.
 
-    The generic pool shape every fan-out in this package shares (the
-    engine's verify re-runs, the analytics map stage): ``target(payload,
-    out_queue)`` runs in its own process and must post exactly one
-    ``(key, status, doc, error, metrics_delta)`` tuple, where ``key`` is
-    ``payload["key"]`` and ``status`` is ``"ok"`` for a result.  No
-    timeout, no retries — callers that need those use
-    :class:`CampaignEngine` itself.
-
-    Returns ``(docs, errors, deltas)``: per-key result documents, per-key
-    error strings (including workers that died without posting), and the
-    workers' metrics deltas for the parent to fold back into its own
-    registry view.
-
-    ``n_workers <= 0`` runs every payload inline, in order, through the
-    same posting protocol (no subprocesses) — the reference path that
-    parallel output is asserted byte-identical against.
+    ``status`` is ``None`` while the attempt runs, then ``"ok"``,
+    ``"failed"``, ``"timeout"`` or ``"crashed"``.  ``final`` is set on an
+    end that no retry follows.  ``metrics`` is a worker process's metrics
+    delta (``None`` for inline attempts).
     """
-    docs: dict[str, object] = {}
-    errors: dict[str, str] = {}
-    deltas: list[dict] = []
 
-    def fold(item) -> None:
-        key, status, doc, error, delta = item
-        if delta:
-            deltas.append(delta)
-        if status == "ok":
-            docs[key] = doc
-        else:
-            errors[key] = error
+    key: str
+    payload: dict
+    number: int = 1
+    not_before: float = 0.0
+    started: float = 0.0
+    pid: int | None = None
+    status: str | None = None
+    doc: object = None
+    error: str | None = None
+    metrics: dict | None = None
+    elapsed: float = 0.0
+    final: bool = False
 
-    if n_workers <= 0:
-        out = _InlineQueue()
-        for payload in payloads:
-            target(payload, out)
-        for item in out.items:
-            fold(item)
-        return docs, errors, deltas
 
-    ctx = mp_context if mp_context is not None else CampaignEngine._mp_context()
-    out_queue = ctx.Queue()
-    todo = deque(payloads)
-    live: dict[str, object] = {}  # key -> process
+def pool_map(target, payloads, n_workers: int, timeout=None, retries: int = 0):
+    """Run independent payloads as attempts; yield every attempt twice.
 
-    def settle(item) -> None:
-        proc = live.pop(item[0], None)
+    ``target(payload, out_queue)`` runs one attempt and must post exactly
+    one ``(key, status, doc, error, metrics_delta)`` tuple, where ``key``
+    is ``payload["key"]`` and ``status`` is ``"ok"`` (``doc`` is the
+    result) or ``"failed"`` (``error`` says why).  Each :class:`Attempt`
+    is yielded when it launches (``status is None``) and again when it
+    ends.  A payload whose attempt did not end ``ok`` is retried up to
+    ``retries`` times after :data:`RETRY_BACKOFF_S` backoff.
+
+    ``n_workers >= 1`` runs every attempt in its own worker process, at
+    most ``n_workers`` at a time.  A worker that overruns ``timeout``
+    seconds is killed (``timeout``); one that exits without posting ends
+    ``crashed``.  ``n_workers <= 0`` calls ``target`` inline, in payload
+    order: no timeout, and no metrics delta, because the work already
+    counted in this process.
+    """
+    inline = n_workers <= 0
+    ctx = None if inline else _mp_context()
+    out_queue = queue_mod.SimpleQueue() if inline else ctx.Queue()
+    pending = deque(Attempt(key=p["key"], payload=p) for p in payloads)
+    live: dict[str, Attempt] = {}
+    procs: dict[str, object] = {}  # key -> worker process
+
+    def end(key, status, doc, error, metrics) -> Attempt:
+        att = live.pop(key)
+        proc = procs.pop(key, None)
         if proc is not None:
             proc.join(timeout=5)
-        fold(item)
+        now = time.monotonic()  # noqa: REP104 — harness wall time
+        att.elapsed = now - att.started
+        att.status, att.doc, att.error = status, doc, error
+        att.metrics = None if inline else metrics
+        att.final = status == "ok" or att.number > retries
+        if not att.final:
+            delay = RETRY_BACKOFF_S * 2 ** (att.number - 1)
+            pending.append(Attempt(key, att.payload, att.number + 1, now + delay))
+        return att
 
-    while todo or live:
-        while todo and len(live) < n_workers:
-            payload = todo.popleft()
-            proc = ctx.Process(target=target, args=(payload, out_queue), daemon=True)
-            proc.start()
-            live[payload["key"]] = proc
+    while pending or live:
+        now = time.monotonic()  # noqa: REP104
+        while pending and len(live) < max(n_workers, 1) and pending[0].not_before <= now:
+            att = pending.popleft()
+            att.started = time.monotonic()  # noqa: REP104
+            live[att.key] = att
+            if not inline:
+                proc = ctx.Process(target=target, args=(att.payload, out_queue), daemon=True)
+                proc.start()
+                procs[att.key], att.pid = proc, proc.pid
+            yield att
+            if inline:
+                target(att.payload, out_queue)
+        if not live:  # everything left is backing off
+            time.sleep(pending[0].not_before - now)
+            continue
+
         try:
             item = out_queue.get(timeout=0.05)
         except queue_mod.Empty:
-            for key in list(live):
-                proc = live.get(key)
-                if proc is None or proc.is_alive():
-                    continue
+            pass
+        else:
+            if item[0] in live:
+                yield end(*item)
+            continue
+
+        now = time.monotonic()  # noqa: REP104
+        for key, proc in list(procs.items()):
+            if key not in live:
+                continue
+            if timeout is not None and now - live[key].started > timeout:
+                proc.terminate()
+                yield end(key, "timeout", None, f"timed out after {timeout} s", None)
+            elif not proc.is_alive():
                 # died without posting; give its message a moment to land
                 try:
-                    item2 = out_queue.get(timeout=0.5)
+                    item = out_queue.get(timeout=0.5)
                 except queue_mod.Empty:
-                    settle(
-                        (key, "error", None,
-                         f"worker exited with code {proc.exitcode}", None)
-                    )
-                else:
-                    settle(item2)
-        else:
-            settle(item)
-    return docs, errors, deltas
+                    item = (key, "crashed", None,
+                            f"worker exited with code {proc.exitcode}", None)
+                if item[0] in live:
+                    yield end(*item)
+
+
+def pool_results(target, payloads, n_workers: int) -> tuple[dict, dict]:
+    """Drain :func:`pool_map` (no timeout, no retries) into final results.
+
+    Returns ``(docs, errors)``: per-key result documents and per-key error
+    strings, for callers that only need each payload's outcome.
+    """
+    docs: dict[str, object] = {}
+    errors: dict[str, str] = {}
+    for att in pool_map(target, payloads, n_workers):
+        if att.final and att.status == "ok":
+            docs[att.key] = att.doc
+        elif att.final:
+            errors[att.key] = att.error
+    return docs, errors
 
 
 @dataclass
@@ -232,16 +288,6 @@ class CampaignResult:
 
 
 @dataclass
-class _Task:
-    key: str
-    index: int
-    point: DesignPoint
-    attempts: int = 0
-    not_before: float = 0.0
-    elapsed: float = 0.0
-
-
-@dataclass
 class CampaignEngine:
     """Executes design-point campaigns over one named workload.
 
@@ -255,14 +301,14 @@ class CampaignEngine:
     n_workers:
         ``0`` executes inline (no subprocesses, no timeout enforcement);
         ``n >= 1`` fans out over ``n`` single-point worker processes.
+        Either way the misses go through :func:`pool_map`.
     timeout:
         Per-point wall-time budget in seconds (workers only).  An
         overrunning worker is terminated, and the point retried until
         ``retries`` is exhausted, then marked ``timeout``.
     retries:
-        Extra attempts after the first, for failed or timed-out points.
-    backoff:
-        Base of the exponential retry delay (seconds).
+        Extra attempts after the first, for failed or timed-out points,
+        each after :data:`RETRY_BACKOFF_S` exponential backoff.
     shared_compute:
         Deduplicate replicated-data work across simulated ranks inside
         each point (one :class:`~repro.parallel.shared.SharedComputeCache`
@@ -283,7 +329,6 @@ class CampaignEngine:
     n_workers: int = 0
     timeout: float | None = None
     retries: int = 1
-    backoff: float = 0.25
     sanitize: bool = False
     shared_compute: bool = True
     trace_dir: str | None = None
@@ -300,12 +345,6 @@ class CampaignEngine:
 
     def key_for(self, point: DesignPoint) -> str:
         return cache_key(self.fingerprint, point, self.config, self.cost, self.base_seed)
-
-    def _campaign_id(self, keys: list[str]) -> str:
-        h = hashlib.sha256()
-        for k in sorted(keys):
-            h.update(k.encode())
-        return h.hexdigest()[:12]
 
     def _meta(self, point: DesignPoint, elapsed: float, attempts: int) -> dict:
         return {
@@ -327,7 +366,7 @@ class CampaignEngine:
         points = list(points)
         keys = [self.key_for(p) for p in points]
         man = mf.CampaignManifest(
-            campaign_id=self._campaign_id(keys),
+            campaign_id=campaign_id_for(keys),
             workload=self.workload,
             created_at=mf.timestamp(),
             git_rev=mf.git_revision(),
@@ -346,7 +385,7 @@ class CampaignEngine:
         runlog.log("campaign_start", n_points=len(points), n_workers=self.n_workers)
         tracer = SpanTracer() if self.trace_dir is not None else None
 
-        misses: list[_Task] = []
+        misses: list[tuple[str, DesignPoint]] = []
         for i, (point, key) in enumerate(zip(points, keys)):
             cached = self.store.get(key)
             if cached is not None:
@@ -360,7 +399,7 @@ class CampaignEngine:
                 continue
             else:
                 REGISTRY.counter("campaign.cache_misses").increment()
-                misses.append(_Task(key=key, index=i, point=point))
+                misses.append((key, point))
 
         def note() -> None:
             man.total_wall = time.monotonic() - t_start  # noqa: REP104
@@ -376,10 +415,36 @@ class CampaignEngine:
 
         note()
         worker_deltas: list[dict] = []
-        if self.n_workers <= 0:
-            self._run_inline(misses, man, records, note, runlog, tracer)
-        else:
-            self._run_pool(misses, man, records, note, runlog, tracer, worker_deltas)
+        spans: dict[str, object] = {}  # key -> open wall span (traced runs)
+        payloads = [
+            self._payload(key, point, self.sanitize, self._point_trace(key))
+            for key, point in misses
+        ]
+        for att in pool_map(
+            _worker_main, payloads, self.n_workers, self.timeout, self.retries
+        ):
+            i = by_key[att.key]
+            if att.status is None:
+                runlog.log("point_launch", key=att.key, label=points[i].label(),
+                           attempt=att.number, pid=att.pid)
+                if tracer is not None:
+                    spans[att.key] = tracer.begin(
+                        "point", track="engine", key=att.key[:16], attempt=att.number
+                    )
+                continue
+            span = spans.pop(att.key, None)
+            if span is not None:
+                span.end(status=att.status)
+            if att.metrics:
+                worker_deltas.append(att.metrics)
+            if not att.final:
+                runlog.log("point_retry", key=att.key, attempt=att.number,
+                           status=att.status, error=att.error)
+                continue
+            status = self._resolve(man, records, i, points[i], att)
+            runlog.log("point_retire", key=att.key, attempt=att.number,
+                       status=status, elapsed=att.elapsed, error=att.error)
+            note()
 
         # duplicate inputs share the first copy's outcome
         for i, key in enumerate(keys):
@@ -411,175 +476,47 @@ class CampaignEngine:
             return None
         return point_trace_path(self.trace_dir, key)
 
+    def _payload(self, key: str, point: DesignPoint, sanitize: bool, trace_path) -> dict:
+        """One :func:`_worker_main` payload: the key plus the run's arguments."""
+        return {
+            "key": key,
+            "run": {
+                "workload": self.workload,
+                "point": point,
+                "config": self.config,
+                "cost": self.cost,
+                "base_seed": self.base_seed,
+                "sanitize": sanitize,
+                "shared_compute": self.shared_compute,
+                "span_trace_path": trace_path,
+            },
+        }
+
     # ------------------------------------------------------------------
     def _resolve(
         self,
         man: mf.CampaignManifest,
         records: list,
-        task: _Task,
-        status: str,
-        record: ResponseRecord | None,
-        error: str | None,
-    ) -> None:
-        ps = man.points[task.index]
+        index: int,
+        point: DesignPoint,
+        att: Attempt,
+    ) -> str:
+        """Record a point's final attempt; returns its manifest status."""
+        status = {"ok": "ran", "timeout": "timeout"}.get(att.status, "failed")
+        ps = man.points[index]
         ps.status = status
-        ps.attempts = task.attempts
-        ps.wall_time = task.elapsed
-        ps.error = error
+        ps.attempts = att.number
+        ps.wall_time = att.elapsed
+        ps.error = att.error
         REGISTRY.counter("campaign.points").increment(status=status)
-        REGISTRY.counter("campaign.attempts").increment(task.attempts)
-        if task.attempts > 1:
-            REGISTRY.counter("campaign.retries").increment(task.attempts - 1)
-        REGISTRY.histogram("campaign.point_wall_seconds").observe(task.elapsed)
-        if record is not None:
-            records[task.index] = record
-            self.store.put(
-                task.key, record, self._meta(task.point, task.elapsed, task.attempts)
-            )
-
-    def _run_inline(self, misses, man, records, note, runlog, tracer) -> None:
-        for task in misses:
-            last_error = None
-            plog = runlog.bind(key=task.key, label=task.point.label())
-            while task.attempts <= self.retries:
-                task.attempts += 1
-                plog.log("point_launch", attempt=task.attempts)
-                span = None
-                if tracer is not None:
-                    span = tracer.begin(
-                        "point", track="engine",
-                        key=task.key[:16], attempt=task.attempts,
-                    )
-                t0 = time.monotonic()  # noqa: REP104 — harness wall time
-                try:
-                    record = execute_point(
-                        self.workload, task.point, self.config, self.cost,
-                        self.base_seed, sanitize=self.sanitize,
-                        shared_compute=self.shared_compute,
-                        span_trace_path=self._point_trace(task.key),
-                    )
-                except Exception as exc:
-                    task.elapsed = time.monotonic() - t0  # noqa: REP104
-                    last_error = f"{type(exc).__name__}: {exc}"
-                    if span is not None:
-                        span.end(status="error")
-                    plog.log("point_retry", attempt=task.attempts, error=last_error)
-                    continue
-                task.elapsed = time.monotonic() - t0  # noqa: REP104
-                if span is not None:
-                    span.end(status="ran")
-                self._resolve(man, records, task, "ran", record, None)
-                plog.log("point_retire", attempt=task.attempts, status="ran",
-                         elapsed=task.elapsed)
-                break
-            else:
-                self._resolve(man, records, task, "failed", None, last_error)
-                plog.log("point_retire", attempt=task.attempts, status="failed",
-                         error=last_error)
-            note()
-
-    def _run_pool(self, misses, man, records, note, runlog, tracer, worker_deltas) -> None:
-        ctx = self._mp_context()
-        out_queue = ctx.Queue()
-        pending: deque[_Task] = deque(misses)
-        live: dict[str, tuple] = {}  # key -> (process, started, task)
-        spans: dict[str, object] = {}  # key -> open wall span (traced runs)
-
-        def launch(task: _Task) -> None:
-            task.attempts += 1
-            payload = {
-                "key": task.key,
-                "workload": self.workload,
-                "point": task.point,
-                "config": self.config,
-                "cost": self.cost,
-                "base_seed": self.base_seed,
-                "sanitize": self.sanitize,
-                "shared_compute": self.shared_compute,
-                "trace_path": self._point_trace(task.key),
-            }
-            proc = ctx.Process(target=_worker_main, args=(payload, out_queue), daemon=True)
-            proc.start()
-            live[task.key] = (proc, time.monotonic(), task)  # noqa: REP104
-            runlog.log("point_launch", key=task.key, label=task.point.label(),
-                       attempt=task.attempts, pid=proc.pid)
-            if tracer is not None:
-                spans[task.key] = tracer.begin(
-                    "point", track="pool", key=task.key[:16], attempt=task.attempts
-                )
-
-        def retire(key: str, status: str, record_doc, error, metrics=None) -> None:
-            proc, started, task = live.pop(key)
-            task.elapsed = time.monotonic() - started  # noqa: REP104
-            proc.join(timeout=5)
-            if metrics:
-                worker_deltas.append(metrics)
-            span = spans.pop(key, None)
-            if span is not None:
-                span.end(status=status)
-            if status == "ok":
-                self._resolve(man, records, task, "ran", record_from_dict(record_doc), None)
-                runlog.log("point_retire", key=key, attempt=task.attempts,
-                           status="ran", elapsed=task.elapsed)
-            elif task.attempts <= self.retries:
-                delay = self.backoff * (2 ** (task.attempts - 1))
-                task.not_before = time.monotonic() + delay  # noqa: REP104
-                runlog.log("point_retry", key=key, attempt=task.attempts,
-                           status=status, error=error)
-                pending.append(task)
-                return
-            else:
-                final = "timeout" if status == "timeout" else "failed"
-                self._resolve(man, records, task, final, None, error)
-                runlog.log("point_retire", key=key, attempt=task.attempts,
-                           status=final, error=error)
-            note()
-
-        while pending or live:
-            now = time.monotonic()  # noqa: REP104 — harness wall time
-            while pending and len(live) < self.n_workers:
-                if pending[0].not_before > now:
-                    break
-                launch(pending.popleft())
-
-            try:
-                key, status, record_doc, error, wdelta = out_queue.get(timeout=0.05)
-            except queue_mod.Empty:
-                pass
-            else:
-                if key in live:
-                    retire(key, "ok" if status == "ok" else "failed",
-                           record_doc, error, wdelta)
-                continue
-
-            now = time.monotonic()  # noqa: REP104
-            for key in list(live):
-                if key not in live:
-                    continue
-                proc, started, task = live[key]
-                if self.timeout is not None and now - started > self.timeout:
-                    proc.terminate()
-                    retire(key, "timeout", None, f"timed out after {self.timeout} s")
-                elif not proc.is_alive():
-                    # died without posting; give its message a moment to land
-                    try:
-                        k2, s2, doc2, err2, wd2 = out_queue.get(timeout=0.5)
-                    except queue_mod.Empty:
-                        retire(
-                            key, "crashed", None,
-                            f"worker exited with code {proc.exitcode}",
-                        )
-                    else:
-                        if k2 in live:
-                            retire(k2, "ok" if s2 == "ok" else "failed", doc2, err2, wd2)
-            if not live and pending and pending[0].not_before > now:
-                time.sleep(min(0.05, pending[0].not_before - now))
-
-    @staticmethod
-    def _mp_context():
-        """Fork where available (shares the built workload pages); else spawn."""
-        methods = multiprocessing.get_all_start_methods()
-        return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
+        REGISTRY.counter("campaign.attempts").increment(att.number)
+        if att.number > 1:
+            REGISTRY.counter("campaign.retries").increment(att.number - 1)
+        REGISTRY.histogram("campaign.point_wall_seconds").observe(att.elapsed)
+        if status == "ran":
+            records[index] = record = record_from_dict(att.doc)
+            self.store.put(att.key, record, self._meta(point, att.elapsed, att.number))
+        return status
 
     def _manifest_path(self, campaign_id: str):
         assert self.store.root is not None
@@ -652,33 +589,14 @@ class CampaignEngine:
     ) -> tuple[dict[str, ResponseRecord], dict[str, str]]:
         """Re-execute (entry, point) pairs; return records and errors by key.
 
-        Reuses the package's generic worker pool (:func:`pool_map` over
-        :func:`_worker_main`); no timeout or retries — verification
-        re-runs points that already executed successfully once.
+        The same :func:`pool_map` attempts as :meth:`run`, with no timeout
+        or retries — verification re-runs points that already executed
+        successfully once.
         """
-        if n_workers <= 0:
-            fresh = {}
-            for entry, point in pairs:
-                fresh[entry.key] = execute_point(
-                    self.workload, point, self.config, self.cost, self.base_seed,
-                    shared_compute=self.shared_compute,
-                )
-            return fresh, {}
-
         payloads = [
-            {
-                "key": entry.key,
-                "workload": self.workload,
-                "point": point,
-                "config": self.config,
-                "cost": self.cost,
-                "base_seed": self.base_seed,
-                "sanitize": False,
-                "shared_compute": self.shared_compute,
-            }
-            for entry, point in pairs
+            self._payload(entry.key, point, False, None) for entry, point in pairs
         ]
-        docs, errors, _ = pool_map(_worker_main, payloads, n_workers)
+        docs, errors = pool_results(_worker_main, payloads, n_workers)
         return {key: record_from_dict(doc) for key, doc in docs.items()}, errors
 
     @staticmethod

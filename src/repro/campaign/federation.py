@@ -21,7 +21,6 @@ and what :func:`verify_stores_match` audits after a merge.
 
 from __future__ import annotations
 
-import hashlib
 import time
 from pathlib import Path
 from typing import Callable, Iterable
@@ -36,7 +35,7 @@ from ..parallel.pmd import MDRunConfig
 from . import manifest as mf
 from .board import Board, board_from_url
 from .engine import CampaignEngine, execute_point
-from .keys import SCHEMA_VERSION, cost_fingerprint
+from .keys import SCHEMA_VERSION, campaign_id_for, cost_fingerprint
 from .leases import Lease
 from .store import ResultStore, record_digest
 
@@ -98,14 +97,6 @@ def publish_campaign(
         "done": n_done,
         "campaign_id": campaign_id_for([lease.key for lease in leases]),
     }
-
-
-def campaign_id_for(keys: Iterable[str]) -> str:
-    """The same id :class:`CampaignEngine` derives for this point set."""
-    h = hashlib.sha256()
-    for k in sorted(keys):
-        h.update(k.encode())
-    return h.hexdigest()[:12]
 
 
 def engine_for_board(

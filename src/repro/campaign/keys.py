@@ -27,6 +27,7 @@ from __future__ import annotations
 import hashlib
 import json
 import zlib
+from collections.abc import Iterable
 from dataclasses import fields
 
 import numpy as np
@@ -42,6 +43,7 @@ __all__ = [
     "cost_fingerprint",
     "config_fingerprint",
     "cache_key",
+    "campaign_id_for",
     "point_seed",
 ]
 
@@ -124,6 +126,19 @@ def cache_key(
         "base_seed": base_seed,
     }
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+def campaign_id_for(keys: Iterable[str]) -> str:
+    """A campaign's short id: order-free digest of its points' cache keys.
+
+    The engine's manifests, published lease boards and merge manifests
+    all name a campaign by this id, so the same point set gets the same
+    id however it was run.
+    """
+    h = hashlib.sha256()
+    for k in sorted(keys):
+        h.update(k.encode())
+    return h.hexdigest()[:12]
 
 
 def point_seed(base_seed: int, point: DesignPoint) -> int:

@@ -119,6 +119,19 @@ def test_empty_store_is_an_analysis_error(tmp_path):
         run_analysis("report", empty)
 
 
+def test_ctrl_c_in_an_inline_map_task_propagates(tmp_path, monkeypatch):
+    """An interrupt inline is the user's, not a map-stage failure."""
+    import repro.campaign.analytics.mapreduce as mapreduce
+
+    def interrupted(path):
+        raise KeyboardInterrupt
+
+    (tmp_path / "a.jsonl").write_text("")
+    monkeypatch.setattr(mapreduce, "map_shard", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        map_shards(tmp_path, n_workers=0)
+
+
 # -- breakdown report (the paper's tables) ----------------------------
 
 

@@ -1,8 +1,13 @@
 """Campaign engine: caching, parallel execution, passivity, verify."""
 
+import multiprocessing
+import os
+
 import pytest
 
+import repro.campaign.engine as engine_mod
 from repro.campaign import CampaignManifest, ResultStore
+from repro.campaign.engine import pool_map
 from repro.campaign.keys import SCHEMA_VERSION
 from repro.campaign.store import record_to_dict
 from repro.campaign.workloads import build_workload
@@ -12,6 +17,11 @@ from repro.core.factors import FOCAL_POINT
 from repro.instrument import FORCE_EVALUATIONS
 
 from .conftest import TINY_CONFIG, tiny_engine, tiny_points
+
+
+def _exit_three(payload, out_queue):
+    """A pool_map target whose worker dies without posting."""
+    os._exit(3)
 
 
 class TestColdAndWarm:
@@ -62,7 +72,15 @@ class TestPassivity:
         for a, b in zip(direct, via_engine):
             assert record_to_dict(a) == record_to_dict(b)
 
-    def test_pool_records_bit_identical_to_inline(self, store_root):
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_pool_records_bit_identical_to_inline(
+        self, store_root, start_method, monkeypatch
+    ):
+        if start_method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"{start_method} start method unavailable here")
+        monkeypatch.setattr(
+            engine_mod, "_mp_context", lambda: multiprocessing.get_context(start_method)
+        )
         inline = tiny_engine(store_root).run(tiny_points()).records
 
         pooled_engine = tiny_engine(None, n_workers=2)
@@ -74,10 +92,11 @@ class TestPassivity:
 
 
 class TestFailureHandling:
-    def test_impossible_point_marked_failed_after_retries(self, store_root):
+    @pytest.mark.parametrize("n_workers", [0, 1])
+    def test_impossible_point_marked_failed_after_retries(self, store_root, n_workers):
         # 32 uni-CPU ranks need 32 nodes; the CoPs cluster has 16
         bad = DesignPoint(config=FOCAL_POINT, n_ranks=32)
-        engine = tiny_engine(store_root, retries=1)
+        engine = tiny_engine(store_root, retries=1, n_workers=n_workers)
         result = engine.run(tiny_points(ranks=(1,)) + [bad])
         assert not result.ok
         statuses = [p.status for p in result.manifest.points]
@@ -100,6 +119,25 @@ class TestFailureHandling:
         (status,) = result.manifest.points
         assert status.status == "timeout"
         assert "timed out" in status.error
+
+    def test_worker_that_exits_without_posting_is_crashed(self):
+        *_, last = pool_map(_exit_three, [{"key": "a"}], n_workers=1)
+        assert last.final
+        assert last.status == "crashed"
+        assert last.error == "worker exited with code 3"
+
+    def test_ctrl_c_in_an_inline_point_propagates(self, store_root, monkeypatch):
+        """An interrupt inline stops the campaign; it is not a failed point."""
+        calls = []
+
+        def interrupted(*args, **kwargs):
+            calls.append(args)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(engine_mod, "execute_point", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            tiny_engine(store_root, retries=1).run(tiny_points())
+        assert len(calls) == 1  # no retry, no second point
 
     def test_unknown_workload_raises(self, store_root):
         engine = tiny_engine(store_root, workload="no-such-system")
