@@ -10,9 +10,9 @@ from conftest import emit
 from repro.experiments import extrapolation
 
 
-def test_extrapolation(benchmark, figure_runner, report_dir):
+def test_extrapolation(benchmark, figure_engine, report_dir):
     result = benchmark.pedantic(
-        extrapolation, args=(figure_runner,), rounds=1, iterations=1
+        extrapolation, args=(figure_engine,), rounds=1, iterations=1
     )
     emit(report_dir, "extrapolation", result.report)
 

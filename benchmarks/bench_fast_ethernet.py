@@ -5,9 +5,9 @@ from conftest import emit
 from repro.experiments import fast_ethernet_comparison
 
 
-def test_fast_ethernet(benchmark, figure_runner, report_dir):
+def test_fast_ethernet(benchmark, figure_engine, report_dir):
     result = benchmark.pedantic(
-        fast_ethernet_comparison, args=(figure_runner,), rounds=1, iterations=1
+        fast_ethernet_comparison, args=(figure_engine,), rounds=1, iterations=1
     )
     emit(report_dir, "fast_ethernet", result.report)
 

@@ -9,8 +9,8 @@ from conftest import emit
 from repro.experiments import figure3
 
 
-def test_figure3(benchmark, figure_runner, report_dir):
-    result = benchmark.pedantic(figure3, args=(figure_runner,), rounds=1, iterations=1)
+def test_figure3(benchmark, figure_engine, report_dir):
+    result = benchmark.pedantic(figure3, args=(figure_engine,), rounds=1, iterations=1)
     emit(report_dir, "figure3", result.report)
 
     total = result.series["total"]

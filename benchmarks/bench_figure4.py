@@ -5,8 +5,8 @@ from conftest import emit
 from repro.experiments import figure4
 
 
-def test_figure4(benchmark, figure_runner, report_dir):
-    result = benchmark.pedantic(figure4, args=(figure_runner,), rounds=1, iterations=1)
+def test_figure4(benchmark, figure_engine, report_dir):
+    result = benchmark.pedantic(figure4, args=(figure_engine,), rounds=1, iterations=1)
     emit(report_dir, "figure4", result.report)
 
     classic = result.series["classic_overhead"]

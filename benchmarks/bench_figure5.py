@@ -5,8 +5,8 @@ from conftest import emit
 from repro.experiments import figure5
 
 
-def test_figure5(benchmark, figure_runner, report_dir):
-    result = benchmark.pedantic(figure5, args=(figure_runner,), rounds=1, iterations=1)
+def test_figure5(benchmark, figure_engine, report_dir):
+    result = benchmark.pedantic(figure5, args=(figure_engine,), rounds=1, iterations=1)
     emit(report_dir, "figure5", result.report)
 
     p8 = {net: result.series[net][3] for net in ("tcp-gige", "score-gige", "myrinet")}

@@ -5,8 +5,8 @@ from conftest import emit
 from repro.experiments import figure6
 
 
-def test_figure6(benchmark, figure_runner, report_dir):
-    result = benchmark.pedantic(figure6, args=(figure_runner,), rounds=1, iterations=1)
+def test_figure6(benchmark, figure_engine, report_dir):
+    result = benchmark.pedantic(figure6, args=(figure_engine,), rounds=1, iterations=1)
     emit(report_dir, "figure6", result.report)
 
     for component in ("classic", "pme"):

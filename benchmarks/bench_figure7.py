@@ -5,8 +5,8 @@ from conftest import emit
 from repro.experiments import figure7
 
 
-def test_figure7(benchmark, figure_runner, report_dir):
-    result = benchmark.pedantic(figure7, args=(figure_runner,), rounds=1, iterations=1)
+def test_figure7(benchmark, figure_engine, report_dir):
+    result = benchmark.pedantic(figure7, args=(figure_engine,), rounds=1, iterations=1)
     emit(report_dir, "figure7", result.report)
 
     assert all(m > 100 for m in result.series["myrinet"]["mean"])

@@ -5,8 +5,8 @@ from conftest import emit
 from repro.experiments import figure8
 
 
-def test_figure8(benchmark, figure_runner, report_dir):
-    result = benchmark.pedantic(figure8, args=(figure_runner,), rounds=1, iterations=1)
+def test_figure8(benchmark, figure_engine, report_dir):
+    result = benchmark.pedantic(figure8, args=(figure_engine,), rounds=1, iterations=1)
     emit(report_dir, "figure8", result.report)
 
     cmpi = result.series["cmpi"]

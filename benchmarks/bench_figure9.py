@@ -5,8 +5,8 @@ from conftest import emit
 from repro.experiments import figure9
 
 
-def test_figure9(benchmark, figure_runner, report_dir):
-    result = benchmark.pedantic(figure9, args=(figure_runner,), rounds=1, iterations=1)
+def test_figure9(benchmark, figure_engine, report_dir):
+    result = benchmark.pedantic(figure9, args=(figure_engine,), rounds=1, iterations=1)
     emit(report_dir, "figure9", result.report)
 
     tcp_dual = result.series["tcp-gige_dual"]

@@ -1,8 +1,8 @@
 """The complete 12-case factorial design (Sec. 3.1) with main effects.
 
-Runs through the campaign engine rather than the bare runner: the 48
-points resolve against the shared persistent store (figure benchmarks
-already populate many of them), and only the misses execute.
+The 48 points resolve through the shared campaign engine against its
+persistent store (figure benchmarks already populate many of them), and
+only the misses execute.
 """
 
 from conftest import emit
@@ -13,8 +13,7 @@ from repro.experiments import run_full_factorial
 def test_full_factorial(benchmark, figure_engine, report_dir):
     result = benchmark.pedantic(
         run_full_factorial,
-        args=(None,),
-        kwargs={"engine": figure_engine},
+        args=(figure_engine,),
         rounds=1,
         iterations=1,
     )

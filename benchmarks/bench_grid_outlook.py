@@ -10,8 +10,8 @@ from conftest import emit
 from repro.experiments import grid_outlook
 
 
-def test_grid_outlook(benchmark, figure_runner, report_dir):
-    result = benchmark.pedantic(grid_outlook, args=(figure_runner,), rounds=1, iterations=1)
+def test_grid_outlook(benchmark, figure_engine, report_dir):
+    result = benchmark.pedantic(grid_outlook, args=(figure_engine,), rounds=1, iterations=1)
     emit(report_dir, "grid_outlook", result.report)
 
     # parallel MD over the wide area is slower than just running serially

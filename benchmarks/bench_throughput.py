@@ -5,9 +5,9 @@ from conftest import emit
 from repro.experiments import throughput_study
 
 
-def test_throughput_tradeoff(benchmark, figure_runner, report_dir):
+def test_throughput_tradeoff(benchmark, figure_engine, report_dir):
     study = benchmark.pedantic(
-        throughput_study, args=(figure_runner,), kwargs={"n_jobs": 32}, rounds=1, iterations=1
+        throughput_study, args=(figure_engine,), kwargs={"n_jobs": 32}, rounds=1, iterations=1
     )
     emit(report_dir, "throughput", study.report)
 

@@ -1,14 +1,14 @@
 """Shared benchmark fixtures.
 
-All figure benchmarks share one :class:`CharacterizationRunner` over the
-paper's 3552-atom workload, backed by one persistent content-addressed
-result store (``benchmarks/.repro-cache/``): each design point is
-simulated exactly once per benchmark session — and, across sessions,
-never resimulated until the workload, run config, cost model or schema
-changes.  The campaign engine (``bench_full_factorial``) shares the same
-store, so ``repro campaign`` sweeps and figure regeneration feed each
-other.  Every benchmark writes the regenerated rows/series to
-``benchmarks/reports/``.
+All figure benchmarks, the full factorial and the throughput study share
+one :class:`~repro.campaign.engine.CampaignEngine` over the paper's
+3552-atom workload, backed by one persistent content-addressed result
+store (``benchmarks/.repro-cache/``): each design point is simulated
+exactly once per benchmark session — and, across sessions, never
+resimulated until the workload, run config, cost model or schema
+changes.  ``repro campaign`` sweeps over the same store feed figure
+regeneration and vice versa.  Every benchmark writes the regenerated
+rows/series to ``benchmarks/reports/``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import pathlib
 import pytest
 
 from repro.campaign import CampaignEngine, ResultStore
-from repro.experiments import default_runner
 from repro.parallel import MDRunConfig
 
 REPORT_DIR = pathlib.Path(__file__).parent / "reports"
@@ -33,16 +32,9 @@ def figure_store():
 
 
 @pytest.fixture(scope="session")
-def figure_runner(figure_store):
-    return default_runner(n_steps=10, store=figure_store)
-
-
-@pytest.fixture(scope="session")
 def figure_engine(figure_store):
-    """Campaign engine over the same workload and store as the runner."""
-    return CampaignEngine(
-        workload="myoglobin-pme", config=MDRunConfig(n_steps=10), store=figure_store
-    )
+    """The paper's setup: myoglobin-PME (the default workload), 10 steps."""
+    return CampaignEngine(config=MDRunConfig(n_steps=10), store=figure_store)
 
 
 @pytest.fixture(scope="session")

@@ -8,14 +8,16 @@ with neighbour-ring synchronization (p-1 one-byte rounds).
 Run:  python examples/middleware_study.py        (~2 minutes)
 """
 
-from repro.experiments import default_runner, figure8
+from repro.campaign import CampaignEngine
+from repro.experiments import figure8
+from repro.parallel import MDRunConfig
 
 
 def main() -> None:
-    runner = default_runner(n_steps=10)
+    engine = CampaignEngine(config=MDRunConfig(n_steps=10))
 
     print("Simulating MPI vs CMPI middleware on TCP/IP (uni-processor)...\n")
-    fig8 = figure8(runner)
+    fig8 = figure8(engine)
     print(fig8.report)
 
     mpi = fig8.series["mpi"]

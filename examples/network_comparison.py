@@ -8,18 +8,20 @@ infrastructure matters more than the raw wire.
 Run:  python examples/network_comparison.py        (~2 minutes)
 """
 
-from repro.experiments import default_runner, figure5, figure7
+from repro.campaign import CampaignEngine
+from repro.experiments import figure5, figure7
+from repro.parallel import MDRunConfig
 
 
 def main() -> None:
-    runner = default_runner(n_steps=10)
+    engine = CampaignEngine(config=MDRunConfig(n_steps=10))
 
     print("Simulating the three interconnects at p = 1, 2, 4, 8...\n")
-    fig5 = figure5(runner)
+    fig5 = figure5(engine)
     print(fig5.report)
 
     print()
-    fig7 = figure7(runner)
+    fig7 = figure7(engine)
     print(fig7.report)
 
     tcp8 = fig5.series["tcp-gige"][3]

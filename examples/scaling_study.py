@@ -10,21 +10,23 @@ Run:  python examples/scaling_study.py        (~1 minute)
 """
 
 from repro.core import breakdown_table, time_series_table
-from repro.experiments import default_runner, figure3, figure4
+from repro.campaign import CampaignEngine
+from repro.experiments import figure3, figure4
+from repro.parallel import MDRunConfig
 
 
 def main() -> None:
     print("Building the 3552-atom benchmark system (myoglobin + CO + SO4 + 337 waters)...")
-    runner = default_runner(n_steps=10)
+    engine = CampaignEngine(config=MDRunConfig(n_steps=10))
 
     print("Simulating the reference platform at p = 1, 2, 4, 8...\n")
-    fig3 = figure3(runner)
+    fig3 = figure3(engine)
     print(fig3.report)
 
     speedups = [fig3.series["total"][0] / t for t in fig3.series["total"]]
     print("\nSpeedups:", "  ".join(f"p={p}: {s:.2f}x" for p, s in zip(fig3.series["p"], speedups)))
 
-    fig4 = figure4(runner)
+    fig4 = figure4(engine)
     print()
     print(fig4.report)
 

@@ -66,7 +66,6 @@ from .store import (
     StoreConflictError,
     StoreEntry,
     record_digest,
-    shared_memory_store,
 )
 from .workloads import build_workload, register_workload, workload_names
 
@@ -102,7 +101,6 @@ __all__ = [
     "ResultStore",
     "run_analysis",
     "SCHEMA_VERSION",
-    "shared_memory_store",
     "StoreConflictError",
     "StoreEntry",
     "verify_stores_match",

@@ -1,4 +1,4 @@
-"""The campaign runner: parallel, resumable design-point execution.
+"""The campaign engine: parallel, resumable design-point execution.
 
 A *campaign* is any iterable of :class:`DesignPoint` over one named
 workload.  The engine partitions points into cache hits and misses
@@ -6,9 +6,9 @@ against the :class:`ResultStore`, fans the misses out through
 :func:`pool_map` (design points are independent — the classic
 embarrassingly-parallel sweep shape), and streams every completed
 record straight back into the store, so a killed campaign resumes
-exactly where it stopped.  The same deterministic crc32-derived
-platform seed the :class:`CharacterizationRunner` uses makes an
-engine-run record bit-identical to a runner-run one.
+exactly where it stopped.  It is the package's one design-point
+executor: campaigns, the figure drivers, the full factorial and the
+throughput study all read their records through :meth:`CampaignEngine.run`.
 
 :func:`pool_map` is the package's one scheduler: every campaign miss,
 every ``verify`` re-run and every analytics map task is one attempt of
@@ -90,8 +90,7 @@ def execute_point(
     """Run one design point from scratch, in whatever process this is.
 
     This is the single execution path shared by the inline engine, the
-    worker processes and ``verify`` — and it performs exactly the calls
-    :meth:`CharacterizationRunner.run_point` makes, so records agree
+    worker processes, federated workers and ``verify``, so records agree
     bit-for-bit however a point was produced.  ``shared_compute``
     constructs one :class:`~repro.parallel.shared.SharedComputeCache` per
     point inside :func:`run_parallel_md`; it changes wall-clock only, so
@@ -286,6 +285,24 @@ class CampaignResult:
         c = self.manifest.counts
         return c["failed"] == 0 and c["timeout"] == 0 and c["pending"] == 0
 
+    def records_or_raise(self) -> list[ResponseRecord]:
+        """Every point's record, in input order; raises if any is missing.
+
+        The ``RuntimeError`` names each unresolved point with its status
+        and last error, so a driver that needs the whole design fails
+        loudly instead of plotting a partial one.
+        """
+        unresolved = [
+            f"{p.label} ({p.status}: {p.error})"
+            for p, r in zip(self.manifest.points, self.records)
+            if r is None
+        ]
+        if unresolved:
+            raise RuntimeError(
+                f"campaign left unresolved points: {', '.join(unresolved)}"
+            )
+        return list(self.records)
+
 
 @dataclass
 class CampaignEngine:
@@ -297,7 +314,7 @@ class CampaignEngine:
         A name from :mod:`repro.campaign.workloads`.
     store:
         Result store; defaults to a fresh memory-only store.  Hand every
-        engine and runner the same persistent store and they share work.
+        engine the same persistent store and they share work.
     n_workers:
         ``0`` executes inline (no subprocesses, no timeout enforcement);
         ``n >= 1`` fans out over ``n`` single-point worker processes.
@@ -346,13 +363,16 @@ class CampaignEngine:
     def key_for(self, point: DesignPoint) -> str:
         return cache_key(self.fingerprint, point, self.config, self.cost, self.base_seed)
 
-    def _meta(self, point: DesignPoint, elapsed: float, attempts: int) -> dict:
+    def _meta(
+        self, point: DesignPoint, elapsed: float, attempts: int, git_rev: str
+    ) -> dict:
+        """Store-entry provenance; ``git_rev`` is read once per caller."""
         return {
             "workload": self.workload,
             "label": point.label(),
             "elapsed": elapsed,
             "attempts": attempts,
-            "git_rev": mf.git_revision(),
+            "git_rev": git_rev,
             "host": mf.host_info()["node"],
         }
 
@@ -376,7 +396,9 @@ class CampaignEngine:
                 mf.PointStatus(label=p.label(), key=k) for p, k in zip(points, keys)
             ],
         )
-        by_key = {k: i for i, k in enumerate(keys)}
+        first: dict[str, int] = {}  # key -> index of its first input copy
+        for i, k in enumerate(keys):
+            first.setdefault(k, i)
         records: list[ResponseRecord | None] = [None] * len(points)
 
         t_start = time.monotonic()  # noqa: REP104 — harness wall time
@@ -394,7 +416,7 @@ class CampaignEngine:
                 REGISTRY.counter("campaign.points").increment(status="hit")
                 REGISTRY.counter("campaign.cache_hits").increment()
                 runlog.log("point_hit", key=key, label=point.label())
-            elif key in by_key and by_key[key] != i:
+            elif first[key] != i:
                 # duplicate point in the input: resolved by the first copy
                 continue
             else:
@@ -423,7 +445,7 @@ class CampaignEngine:
         for att in pool_map(
             _worker_main, payloads, self.n_workers, self.timeout, self.retries
         ):
-            i = by_key[att.key]
+            i = first[att.key]
             if att.status is None:
                 runlog.log("point_launch", key=att.key, label=points[i].label(),
                            attempt=att.number, pid=att.pid)
@@ -446,12 +468,18 @@ class CampaignEngine:
                        status=status, elapsed=att.elapsed, error=att.error)
             note()
 
-        # duplicate inputs share the first copy's outcome
+        # duplicate inputs share the first copy's outcome: its record (a
+        # store hit once it ran), or its failure, attempts and error
         for i, key in enumerate(keys):
-            if records[i] is None and self.store.get(key) is not None:
-                records[i] = self.store.get(key)
-                if man.points[i].status == "pending":
-                    man.points[i].status = "hit"
+            j = first[key]
+            if j == i or man.points[i].status != "pending":
+                continue
+            src, ps = man.points[j], man.points[i]
+            records[i] = records[j]
+            if src.status == "ran":
+                ps.status = "hit"
+            else:
+                ps.status, ps.attempts, ps.error = src.status, src.attempts, src.error
 
         man.total_wall = time.monotonic() - t_start  # noqa: REP104
         man.metrics = merge_metrics(REGISTRY.delta(metrics_before), *worker_deltas)
@@ -515,7 +543,10 @@ class CampaignEngine:
         REGISTRY.histogram("campaign.point_wall_seconds").observe(att.elapsed)
         if status == "ran":
             records[index] = record = record_from_dict(att.doc)
-            self.store.put(att.key, record, self._meta(point, att.elapsed, att.number))
+            self.store.put(
+                att.key, record,
+                self._meta(point, att.elapsed, att.number, git_rev=man.git_rev),
+            )
         return status
 
     def _manifest_path(self, campaign_id: str):
@@ -611,4 +642,5 @@ class CampaignEngine:
             ),
             n_ranks=record.n_ranks,
             replicate=record.replicate,
+            strategy=record.strategy,
         )

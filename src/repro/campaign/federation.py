@@ -169,6 +169,7 @@ def work_campaign(
         log_path = store.root / "logs" / f"worker-{worker}.jsonl"
     runlog = RunLog(log_path, campaign=campaign_id, worker=worker)
     metrics_before = REGISTRY.snapshot()
+    git_rev = mf.git_revision()
     stats = {"claimed": 0, "executed": 0, "hits": 0, "failed": 0, "lost": 0}
     while max_points is None or stats["claimed"] < max_points:
         lease = board.claim(worker, ttl=ttl)
@@ -210,7 +211,7 @@ def work_campaign(
                 progress(f"{worker}: {lease.label} FAILED ({type(exc).__name__}: {exc})")
             continue
         elapsed = time.monotonic() - t0  # noqa: REP104
-        meta = engine._meta(point, elapsed, attempts=lease.attempts + 1)
+        meta = engine._meta(point, elapsed, lease.attempts + 1, git_rev=git_rev)
         meta["worker"] = worker
         store.put(lease.key, record, meta)
         stats["executed"] += 1

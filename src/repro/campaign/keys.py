@@ -10,7 +10,7 @@ content hash over everything that determines the run's output:
 * the **design point** — network, middleware, CPUs per node, rank count,
   replicate;
 * the **run configuration** — every :class:`MDRunConfig` field plus the
-  runner's ``base_seed`` the per-point platform seeds derive from;
+  engine's ``base_seed`` the per-point platform seeds derive from;
 * the **cost-model fingerprint** — every :class:`MachineCostModel`
   constant (recalibration invalidates the cache);
 * the **schema version** — bumped by hand whenever the meaning of a
@@ -61,7 +61,7 @@ def _digest_array(h: "hashlib._Hash", arr: np.ndarray) -> None:
 
 
 def workload_fingerprint(system: MDSystem, positions: np.ndarray) -> str:
-    """Content hash of the physical problem one runner executes."""
+    """Content hash of the physical problem one engine executes."""
     h = hashlib.sha256()
     _digest_array(h, positions)
     _digest_array(h, system.charges)
@@ -146,9 +146,9 @@ def point_seed(base_seed: int, point: DesignPoint) -> int:
 
     Uses a stable digest, not ``hash()``: string hashing is randomized
     per process (PYTHONHASHSEED), which would give every run of the same
-    experiment different platform noise.  This is the historical
-    :class:`CharacterizationRunner` formula, shared so engine-run points
-    are bit-identical to runner-run ones.
+    experiment different platform noise.  :func:`execute_point` seeds
+    every platform with it, and the formula predates the campaign layer,
+    so records and cache keys stored by earlier versions stay valid.
     """
     key = (
         point.config.network,

@@ -47,7 +47,6 @@ __all__ = [
     "StoreConflictError",
     "StoreEntry",
     "record_digest",
-    "shared_memory_store",
 ]
 
 _RECORD_FIELDS = [f.name for f in fields(ResponseRecord)]
@@ -97,7 +96,7 @@ class ResultStore:
     """Content-addressed store of design-point responses.
 
     ``root=None`` gives a memory-only store (same interface, nothing
-    persisted) — the default backing of in-process runner sharing.
+    persisted) — a :class:`~repro.campaign.engine.CampaignEngine`'s default.
     """
 
     def __init__(self, root: str | Path | None = None) -> None:
@@ -310,18 +309,3 @@ class ResultStore:
             "bytes": nbytes,
             "schema": SCHEMA_VERSION,
         }
-
-
-_PROCESS_STORE: ResultStore | None = None
-
-
-def shared_memory_store() -> ResultStore:
-    """The process-wide in-memory store runners share by default.
-
-    Two :class:`CharacterizationRunner` instances over the same workload
-    resolve to the same keys here, so neither repeats the other's work.
-    """
-    global _PROCESS_STORE
-    if _PROCESS_STORE is None:
-        _PROCESS_STORE = ResultStore(None)
-    return _PROCESS_STORE

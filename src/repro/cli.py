@@ -406,7 +406,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:
-    from .experiments import ALL_FIGURES, default_runner
+    from .campaign import CampaignEngine
+    from .experiments import ALL_FIGURES
+    from .parallel.pmd import MDRunConfig
 
     if not args.names and not args.all:
         print("Available figures:")
@@ -420,9 +422,9 @@ def _cmd_figures(args: argparse.Namespace) -> int:
         print(f"unknown figures: {', '.join(unknown)}", file=sys.stderr)
         return 2
 
-    runner = default_runner(n_steps=args.steps)
+    engine = CampaignEngine(config=MDRunConfig(n_steps=args.steps))
     for name in names:
-        result = ALL_FIGURES[name](runner)
+        result = ALL_FIGURES[name](engine)
         print(result.report)
         print()
     return 0

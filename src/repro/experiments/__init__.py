@@ -5,7 +5,6 @@ from .throughput import ThroughputPlan, ThroughputStudy, throughput_study
 from .figures import (
     ALL_FIGURES,
     FigureResult,
-    default_runner,
     extrapolation,
     fast_ethernet_comparison,
     figure3,
@@ -20,7 +19,6 @@ from .figures import (
 
 __all__ = [
     "ALL_FIGURES",
-    "default_runner",
     "extrapolation",
     "fast_ethernet_comparison",
     "figure3",

@@ -1,27 +1,28 @@
 """One driver per figure of the paper's evaluation section.
 
 Each ``figureN`` function runs (or recalls) the design points that figure
-plots, and returns a :class:`FigureResult` with the structured series and
-a printable report matching the paper's rows.  The benchmark harness under
-``benchmarks/`` times these drivers and prints their reports; the
-integration tests assert the paper's qualitative claims on the series.
+plots through a :class:`~repro.campaign.engine.CampaignEngine`, and
+returns a :class:`FigureResult` with the structured series and a
+printable report matching the paper's rows.  The engine's store memoizes
+every point, so figures sharing points (3 and 4, say) share the work, and
+an engine over a persistent store regenerates figures with no MD work.
+The benchmark harness under ``benchmarks/`` times these drivers and
+prints their reports; the integration tests assert the paper's
+qualitative claims on the series.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..campaign.engine import CampaignEngine
 from ..core.design import DesignPoint
-from ..core.factors import FOCAL_POINT
+from ..core.factors import FOCAL_POINT, PlatformConfig
 from ..core.report import breakdown_table, speed_table, time_series_table
 from ..core.responses import ResponseRecord
-from ..core.runner import CharacterizationRunner
-from ..parallel.pmd import MDRunConfig
-from ..workloads.cache import myoglobin_system, myoglobin_workload
 
 __all__ = [
     "FigureResult",
-    "default_runner",
     "figure3",
     "figure4",
     "figure5",
@@ -59,27 +60,20 @@ class FigureResult:
         return groups
 
 
-def default_runner(n_steps: int = 10, store=None) -> CharacterizationRunner:
-    """A runner over the paper's 3552-atom benchmark system.
-
-    ``store`` optionally names a persistent
-    :class:`~repro.campaign.store.ResultStore` so regenerated figures
-    share design-point results with campaign runs (and with each other,
-    across processes); warm-cache regeneration then performs no MD work.
-    """
-    mg = myoglobin_workload()
-    return CharacterizationRunner(
-        system=myoglobin_system("pme"),
-        positions=mg.positions,
-        config=MDRunConfig(n_steps=n_steps),
-        store=store,
-    )
+def _sweep(
+    engine: CampaignEngine,
+    config: PlatformConfig,
+    processor_levels: tuple[int, ...] = (1, 2, 4, 8),
+) -> list[ResponseRecord]:
+    """Processor-count sweep at one platform; raises if a point fails."""
+    points = [DesignPoint(config=config, n_ranks=p) for p in processor_levels]
+    return engine.run(points).records_or_raise()
 
 
 # ----------------------------------------------------------------------
-def figure3(runner: CharacterizationRunner) -> FigureResult:
+def figure3(engine: CampaignEngine) -> FigureResult:
     """Fig. 3: classic vs PME wall time, reference case, p = 1, 2, 4, 8."""
-    records = runner.sweep(FOCAL_POINT)
+    records = _sweep(engine, FOCAL_POINT)
     series = {
         "p": [r.n_ranks for r in records],
         "classic": [r.classic_time for r in records],
@@ -95,9 +89,9 @@ def figure3(runner: CharacterizationRunner) -> FigureResult:
     )
 
 
-def figure4(runner: CharacterizationRunner) -> FigureResult:
+def figure4(engine: CampaignEngine) -> FigureResult:
     """Fig. 4: % comp/comm/sync for classic (a) and PME (b), reference case."""
-    records = runner.sweep(FOCAL_POINT)
+    records = _sweep(engine, FOCAL_POINT)
     series = {
         "p": [r.n_ranks for r in records],
         "classic_overhead": [r.classic_overhead_fraction for r in records],
@@ -118,11 +112,11 @@ def figure4(runner: CharacterizationRunner) -> FigureResult:
     )
 
 
-def figure5(runner: CharacterizationRunner) -> FigureResult:
+def figure5(engine: CampaignEngine) -> FigureResult:
     """Fig. 5: wall times for TCP/IP vs SCore vs Myrinet (MPI, uni)."""
     records: list[ResponseRecord] = []
     for network in NETWORK_LEVELS:
-        records += runner.sweep(FOCAL_POINT.with_level("network", network))
+        records += _sweep(engine, FOCAL_POINT.with_level("network", network))
     series = {
         network: [r.total_time for r in records if r.network == network]
         for network in NETWORK_LEVELS
@@ -137,11 +131,11 @@ def figure5(runner: CharacterizationRunner) -> FigureResult:
     )
 
 
-def figure6(runner: CharacterizationRunner) -> FigureResult:
+def figure6(engine: CampaignEngine) -> FigureResult:
     """Fig. 6: % breakdown per network, classic (a) and PME (b)."""
     records: list[ResponseRecord] = []
     for network in NETWORK_LEVELS:
-        records += runner.sweep(FOCAL_POINT.with_level("network", network))
+        records += _sweep(engine, FOCAL_POINT.with_level("network", network))
     series = {
         f"{network}_{comp}": [
             getattr(r, f"{comp}_overhead_fraction")
@@ -166,13 +160,12 @@ def figure6(runner: CharacterizationRunner) -> FigureResult:
     )
 
 
-def figure7(runner: CharacterizationRunner) -> FigureResult:
+def figure7(engine: CampaignEngine) -> FigureResult:
     """Fig. 7: average and min/max per-node communication speed."""
     records: list[ResponseRecord] = []
     for network in NETWORK_LEVELS:
         cfg = FOCAL_POINT.with_level("network", network)
-        points = [DesignPoint(config=cfg, n_ranks=p) for p in (2, 4, 8)]
-        records += runner.measure(points)
+        records += _sweep(engine, cfg, (2, 4, 8))
     series = {
         network: {
             "mean": [r.comm_mean_mbs for r in records if r.network == network],
@@ -190,10 +183,10 @@ def figure7(runner: CharacterizationRunner) -> FigureResult:
     )
 
 
-def figure8(runner: CharacterizationRunner) -> FigureResult:
+def figure8(engine: CampaignEngine) -> FigureResult:
     """Fig. 8: MPI vs CMPI middleware (TCP/IP, uni-processor)."""
-    records = runner.sweep(FOCAL_POINT)
-    records += runner.sweep(FOCAL_POINT.with_level("middleware", "cmpi"))
+    records = _sweep(engine, FOCAL_POINT)
+    records += _sweep(engine, FOCAL_POINT.with_level("middleware", "cmpi"))
     series = {
         mw: {
             "classic": [r.classic_time for r in records if r.middleware == mw],
@@ -218,7 +211,7 @@ def figure8(runner: CharacterizationRunner) -> FigureResult:
     )
 
 
-def figure9(runner: CharacterizationRunner) -> FigureResult:
+def figure9(engine: CampaignEngine) -> FigureResult:
     """Fig. 9: uni vs dual CPUs per node, on TCP/IP (a) and Myrinet (b)."""
     records: list[ResponseRecord] = []
     for network in ("tcp-gige", "myrinet"):
@@ -226,7 +219,7 @@ def figure9(runner: CharacterizationRunner) -> FigureResult:
             cfg = FOCAL_POINT.with_level("network", network).with_level(
                 "cpus_per_node", cpus
             )
-            records += runner.sweep(cfg)
+            records += _sweep(engine, cfg)
     series = {
         f"{network}_{'uni' if cpus == 1 else 'dual'}": [
             r.total_time
@@ -246,10 +239,10 @@ def figure9(runner: CharacterizationRunner) -> FigureResult:
 
 
 # ---------------------------------------------------------------- extensions
-def fast_ethernet_comparison(runner: CharacterizationRunner) -> FigureResult:
+def fast_ethernet_comparison(engine: CampaignEngine) -> FigureResult:
     """Sec. 4.1 prior-work claim: Fast Ethernet ~ Gigabit Ethernet on TCP/IP."""
-    records = runner.sweep(FOCAL_POINT)
-    records += runner.sweep(FOCAL_POINT.with_level("network", "tcp-fast-ethernet"))
+    records = _sweep(engine, FOCAL_POINT)
+    records += _sweep(engine, FOCAL_POINT.with_level("network", "tcp-fast-ethernet"))
     series = {
         net: [r.total_time for r in records if r.network == net]
         for net in ("tcp-gige", "tcp-fast-ethernet")
@@ -263,13 +256,12 @@ def fast_ethernet_comparison(runner: CharacterizationRunner) -> FigureResult:
     )
 
 
-def extrapolation(runner: CharacterizationRunner) -> FigureResult:
+def extrapolation(engine: CampaignEngine) -> FigureResult:
     """Conclusion claim: scalability limits towards 16-32 processors."""
     records: list[ResponseRecord] = []
     for network in ("tcp-gige", "score-gige", "myrinet"):
         cfg = FOCAL_POINT.with_level("network", network)
-        points = [DesignPoint(config=cfg, n_ranks=p) for p in (1, 2, 4, 8, 16)]
-        records += runner.measure(points)
+        records += _sweep(engine, cfg, (1, 2, 4, 8, 16))
     series = {
         network: [r.total_time for r in records if r.network == network]
         for network in ("tcp-gige", "score-gige", "myrinet")
@@ -284,20 +276,16 @@ def extrapolation(runner: CharacterizationRunner) -> FigureResult:
     )
 
 
-def grid_outlook(runner: CharacterizationRunner) -> FigureResult:
+def grid_outlook(engine: CampaignEngine) -> FigureResult:
     """Conclusion claim: migration 'to the global computational grid'
     remains a particular challenge — estimate the damage.
 
     Runs the reference calculation at p=2 and p=4 over a simulated
     wide-area path and reports the slowdown versus the local cluster.
     """
-    records = runner.measure(
-        [DesignPoint(config=FOCAL_POINT, n_ranks=p) for p in (1, 2, 4)]
-    )
+    records = _sweep(engine, FOCAL_POINT, (1, 2, 4))
     grid_cfg = FOCAL_POINT.with_level("network", "wide-area-grid")
-    records += runner.measure(
-        [DesignPoint(config=grid_cfg, n_ranks=p) for p in (2, 4)]
-    )
+    records += _sweep(engine, grid_cfg, (2, 4))
     local = {r.n_ranks: r.total_time for r in records if r.network == "tcp-gige"}
     grid = {r.n_ranks: r.total_time for r in records if r.network == "wide-area-grid"}
     series = {

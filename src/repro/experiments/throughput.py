@@ -25,11 +25,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ..campaign.engine import CampaignEngine
 from ..core.design import DesignPoint
 from ..core.factors import FOCAL_POINT
 from ..core.report import format_table
 from ..core.responses import ResponseRecord
-from ..core.runner import CharacterizationRunner
 
 __all__ = ["ThroughputPlan", "ThroughputStudy", "throughput_study"]
 
@@ -87,7 +87,7 @@ def _plan(network: str, record: ResponseRecord, n_jobs: int) -> ThroughputPlan:
 
 
 def throughput_study(
-    runner: CharacterizationRunner,
+    engine: CampaignEngine,
     n_jobs: int = 32,
     networks: tuple[str, ...] = ("tcp-gige", "score-gige", "myrinet"),
     processor_levels: tuple[int, ...] = (1, 2, 4, 8),
@@ -98,9 +98,8 @@ def throughput_study(
     plans: list[ThroughputPlan] = []
     for network in networks:
         cfg = FOCAL_POINT.with_level("network", network)
-        records = runner.measure(
-            [DesignPoint(config=cfg, n_ranks=p) for p in processor_levels]
-        )
+        points = [DesignPoint(config=cfg, n_ranks=p) for p in processor_levels]
+        records = engine.run(points).records_or_raise()
         for record in records:
             plans.append(_plan(network, record, n_jobs))
 

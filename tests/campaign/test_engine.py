@@ -6,15 +6,17 @@ import os
 import pytest
 
 import repro.campaign.engine as engine_mod
-from repro.campaign import CampaignManifest, ResultStore
+from repro.campaign import CampaignManifest
 from repro.campaign.engine import pool_map
-from repro.campaign.keys import SCHEMA_VERSION
+from repro.campaign.keys import SCHEMA_VERSION, point_seed
 from repro.campaign.store import record_to_dict
 from repro.campaign.workloads import build_workload
-from repro.core import CharacterizationRunner
 from repro.core.design import DesignPoint
 from repro.core.factors import FOCAL_POINT
+from repro.core.responses import ResponseRecord
 from repro.instrument import FORCE_EVALUATIONS
+from repro.parallel import MDRunConfig
+from repro.parallel.run import RunOptions, run_parallel_md
 
 from .conftest import TINY_CONFIG, tiny_engine, tiny_points
 
@@ -56,16 +58,28 @@ class TestColdAndWarm:
         statuses = sorted(p.status for p in result.manifest.points)
         assert statuses == ["hit", "ran"]
 
+        # a failing point: every copy carries the one execution's outcome
+        bad = DesignPoint(config=FOCAL_POINT, n_ranks=32)
+        result = tiny_engine(store_root, retries=0).run([bad, bad])
+        points = result.manifest.points
+        assert [(p.status, p.attempts) for p in points] == [("failed", 1)] * 2
+        assert points[1].error == points[0].error
+        assert result.manifest.counts["pending"] == 0
+        assert result.records == [None, None]
+
 
 class TestPassivity:
     def test_engine_records_bit_identical_to_direct_runner(self, store_root):
         """Exact passivity: going through the engine (store, manifest,
-        scheduling) changes nothing about the record itself."""
+        scheduling) changes nothing about the record a bare
+        :func:`run_parallel_md` call with the point's seed produces."""
         system, positions = build_workload("peptide-tiny")
-        runner = CharacterizationRunner(
-            system=system, positions=positions, config=TINY_CONFIG
-        )
-        direct = runner.measure(tiny_points())
+        direct = []
+        for point in tiny_points():
+            spec = point.config.cluster_spec(point.n_ranks, seed=point_seed(2002, point))
+            options = RunOptions.for_point(point, config=TINY_CONFIG)
+            result = run_parallel_md(system, positions, spec, options)
+            direct.append(ResponseRecord.from_run(point, result))
 
         engine = tiny_engine(store_root)
         via_engine = engine.run(tiny_points()).records
@@ -207,39 +221,19 @@ class TestVerify:
         assert {m["field"] for m in mismatches} == {"wall_time"}
         assert mismatches[0]["key"] == key
 
-
-class TestRunnerSharing:
-    def test_two_runners_share_work_in_process(self):
-        """Satellite: the store replaced the runner's private memo — a
-        second runner over the same workload performs zero MD work."""
-        from repro.core import runner as runner_mod
-
-        store = ResultStore(None)
-        system, positions = build_workload("peptide-tiny")
-        first = CharacterizationRunner(
-            system=system, positions=positions, config=TINY_CONFIG, store=store
+    def test_tampered_spatial_record_detected(self, store_root):
+        """Non-replicated records are eligible too: the point rebuilt from
+        the record keeps its strategy, so its key matches the entry's."""
+        engine = tiny_engine(
+            store_root, workload="water-box", config=MDRunConfig(n_steps=1)
         )
-        first.measure(tiny_points())
-
-        runner_mod._RUN_MEMO.clear()  # leave only the store to answer
-        second = CharacterizationRunner(
-            system=system, positions=positions, config=TINY_CONFIG, store=store
+        point = DesignPoint(config=FOCAL_POINT, n_ranks=2, strategy="spatial")
+        (record,) = engine.run([point]).records
+        tampered = type(record)(
+            **{**record_to_dict(record), "wall_time": record.wall_time * 1.5}
         )
-        before = FORCE_EVALUATIONS.snapshot()
-        records = second.measure(tiny_points())
-        assert FORCE_EVALUATIONS.delta(before) == 0
-        assert len(records) == 2
+        engine.store.put(engine.key_for(point), tampered)
+        mismatches = engine.verify(sample=1)
+        assert {m["field"] for m in mismatches} == {"wall_time"}
+        assert mismatches[0]["label"] == "tcp-gige/mpi/uni p=2 spatial"
 
-    def test_runner_and_engine_share_one_persistent_store(self, store_root):
-        tiny_engine(store_root).run(tiny_points())
-
-        system, positions = build_workload("peptide-tiny")
-        runner = CharacterizationRunner(
-            system=system,
-            positions=positions,
-            config=TINY_CONFIG,
-            store=ResultStore(store_root),
-        )
-        before = FORCE_EVALUATIONS.snapshot()
-        runner.measure(tiny_points())
-        assert FORCE_EVALUATIONS.delta(before) == 0

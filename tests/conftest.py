@@ -38,6 +38,20 @@ def peptide_system(forcefield):
 
 
 @pytest.fixture(scope="session")
+def peptide_workload(peptide_system):
+    """``peptide_system`` registered as a campaign workload; returns its name.
+
+    Figure drivers and studies execute points through a
+    :class:`~repro.campaign.engine.CampaignEngine`, which resolves its
+    system by workload name.
+    """
+    from repro.campaign.workloads import register_workload
+
+    register_workload("test-peptide", lambda: peptide_system)
+    return "test-peptide"
+
+
+@pytest.fixture(scope="session")
 def peptide_system_shift(forcefield):
     """The same solvated peptide with classic shifted electrostatics."""
     topo, pos, box = build_peptide_in_water(

@@ -89,15 +89,20 @@ class TestRecommendation:
 
 
 class TestOnRealRuns:
-    def test_good_network_recommends_more_processors(self, peptide_system):
+    def test_good_network_recommends_more_processors(self, peptide_workload):
         """End-to-end: the paper's conclusion, computed from simulation."""
-        from repro.core import CharacterizationRunner, FOCAL_POINT
+        from repro.campaign import CampaignEngine
+        from repro.core import FOCAL_POINT, DesignPoint
         from repro.parallel import MDRunConfig
 
-        system, pos = peptide_system
-        runner = CharacterizationRunner(
-            system=system, positions=pos, config=MDRunConfig(n_steps=2, dt=0.0004)
+        engine = CampaignEngine(
+            workload=peptide_workload, config=MDRunConfig(n_steps=2, dt=0.0004)
         )
-        tcp = runner.sweep(FOCAL_POINT)
-        myr = runner.sweep(FOCAL_POINT.with_level("network", "myrinet"))
+
+        def sweep(config):
+            points = [DesignPoint(config=config, n_ranks=p) for p in (1, 2, 4, 8)]
+            return engine.run(points).records_or_raise()
+
+        tcp = sweep(FOCAL_POINT)
+        myr = sweep(FOCAL_POINT.with_level("network", "myrinet"))
         assert recommended_processors(myr, 0.5) >= recommended_processors(tcp, 0.5)

@@ -2,18 +2,17 @@
 
 import pytest
 
-from repro.core import CharacterizationRunner
+from repro.campaign import CampaignEngine
 from repro.experiments import main_effects, run_full_factorial
 from repro.parallel import MDRunConfig
 
 
 @pytest.fixture(scope="module")
-def factorial(peptide_system):
-    system, pos = peptide_system
-    runner = CharacterizationRunner(
-        system=system, positions=pos, config=MDRunConfig(n_steps=1, dt=0.0004)
+def factorial(peptide_workload):
+    engine = CampaignEngine(
+        workload=peptide_workload, config=MDRunConfig(n_steps=1, dt=0.0004)
     )
-    return run_full_factorial(runner, processor_levels=(1, 4))
+    return run_full_factorial(engine, processor_levels=(1, 4))
 
 
 class TestFullFactorial:
@@ -33,6 +32,18 @@ class TestFullFactorial:
     def test_report_renders(self, factorial):
         assert "Main effects" in factorial.report
         assert "Full factorial" in factorial.report
+
+    def test_unresolved_points_raise_naming_every_label(self, peptide_workload):
+        # 64 ranks need 32 dual or 64 uni-CPU nodes; the CoPs cluster has 16
+        engine = CampaignEngine(
+            workload=peptide_workload, config=MDRunConfig(n_steps=1, dt=0.0004),
+            retries=0,
+        )
+        with pytest.raises(RuntimeError, match="unresolved points") as info:
+            run_full_factorial(engine, processor_levels=(64,))
+        message = str(info.value)
+        assert "tcp-gige/mpi/uni p=64 (failed: ValueError:" in message
+        assert message.count("p=64") == 12  # every case is named
 
 
 class TestMainEffects:

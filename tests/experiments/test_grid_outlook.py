@@ -2,18 +2,17 @@
 
 import pytest
 
-from repro.core import CharacterizationRunner
+from repro.campaign import CampaignEngine
 from repro.experiments import grid_outlook
 from repro.parallel import MDRunConfig
 
 
 @pytest.fixture(scope="module")
-def outlook(peptide_system):
-    system, pos = peptide_system
-    runner = CharacterizationRunner(
-        system=system, positions=pos, config=MDRunConfig(n_steps=1, dt=0.0004)
+def outlook(peptide_workload):
+    engine = CampaignEngine(
+        workload=peptide_workload, config=MDRunConfig(n_steps=1, dt=0.0004)
     )
-    return grid_outlook(runner)
+    return grid_outlook(engine)
 
 
 class TestGridOutlook:

@@ -22,33 +22,33 @@ from repro.experiments import (
 
 
 @pytest.fixture(scope="module")
-def fig3(figure_runner):
-    return figure3(figure_runner)
+def fig3(figure_engine):
+    return figure3(figure_engine)
 
 
 @pytest.fixture(scope="module")
-def fig4(figure_runner):
-    return figure4(figure_runner)
+def fig4(figure_engine):
+    return figure4(figure_engine)
 
 
 @pytest.fixture(scope="module")
-def fig5(figure_runner):
-    return figure5(figure_runner)
+def fig5(figure_engine):
+    return figure5(figure_engine)
 
 
 @pytest.fixture(scope="module")
-def fig7(figure_runner):
-    return figure7(figure_runner)
+def fig7(figure_engine):
+    return figure7(figure_engine)
 
 
 @pytest.fixture(scope="module")
-def fig8(figure_runner):
-    return figure8(figure_runner)
+def fig8(figure_engine):
+    return figure8(figure_engine)
 
 
 @pytest.fixture(scope="module")
-def fig9(figure_runner):
-    return figure9(figure_runner)
+def fig9(figure_engine):
+    return figure9(figure_engine)
 
 
 class TestFigure3:
@@ -139,8 +139,8 @@ class TestFigure6:
     """Breakdowns per network: overhead ordering."""
 
     @pytest.fixture(scope="class")
-    def fig6(self, figure_runner):
-        return figure6(figure_runner)
+    def fig6(self, figure_engine):
+        return figure6(figure_engine)
 
     @pytest.mark.parametrize("component", ["classic", "pme"])
     def test_overhead_ordering_at_eight(self, fig6, component):
@@ -255,10 +255,10 @@ class TestFigure9:
 
 
 class TestFastEthernetExtension:
-    def test_fast_ethernet_not_much_worse(self, figure_runner):
+    def test_fast_ethernet_not_much_worse(self, figure_engine):
         """Sec 4.1: 'Gigabit Ethernet did not perform much better than
         Fast Ethernet' under TCP/IP — overheads, not wire speed, dominate."""
-        result = fast_ethernet_comparison(figure_runner)
+        result = fast_ethernet_comparison(figure_engine)
         gige = result.series["tcp-gige"]
         fast = result.series["tcp-fast-ethernet"]
         # Fast Ethernet is slower, but by far less than the 10x wire ratio

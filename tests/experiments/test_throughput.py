@@ -2,18 +2,17 @@
 
 import pytest
 
-from repro.core import CharacterizationRunner
+from repro.campaign import CampaignEngine
 from repro.experiments import throughput_study
 from repro.parallel import MDRunConfig
 
 
 @pytest.fixture(scope="module")
-def study(peptide_system):
-    system, pos = peptide_system
-    runner = CharacterizationRunner(
-        system=system, positions=pos, config=MDRunConfig(n_steps=2, dt=0.0004)
+def study(peptide_workload):
+    engine = CampaignEngine(
+        workload=peptide_workload, config=MDRunConfig(n_steps=2, dt=0.0004)
     )
-    return throughput_study(runner, n_jobs=32, networks=("tcp-gige", "myrinet"))
+    return throughput_study(engine, n_jobs=32, networks=("tcp-gige", "myrinet"))
 
 
 class TestThroughputStudy:
@@ -47,13 +46,12 @@ class TestThroughputStudy:
         assert "Task vs data parallelism" in study.report
         assert "jobs/hour" in study.report
 
-    def test_validation(self, peptide_system):
-        system, pos = peptide_system
-        runner = CharacterizationRunner(
-            system=system, positions=pos, config=MDRunConfig(n_steps=1, dt=0.0004)
+    def test_validation(self, peptide_workload):
+        engine = CampaignEngine(
+            workload=peptide_workload, config=MDRunConfig(n_steps=1, dt=0.0004)
         )
         with pytest.raises(ValueError):
-            throughput_study(runner, n_jobs=0)
+            throughput_study(engine, n_jobs=0)
 
     def test_unknown_network_raises(self, study):
         with pytest.raises(ValueError):

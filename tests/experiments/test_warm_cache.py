@@ -1,26 +1,21 @@
 """Acceptance: warm-cache figure regeneration performs zero MD work.
 
-The figure drivers accept any :class:`CharacterizationRunner`; backing
-one with a persistent store and regenerating the same figure from a
-fresh runner (fresh process simulated by clearing the in-process memo)
-must recall every design point from disk without a single non-bonded
-force evaluation.
+The figure drivers read their records through a
+:class:`~repro.campaign.engine.CampaignEngine`; backing it with a
+persistent store and regenerating the same figure from a fresh engine
+over the reopened store must recall every design point from disk
+without a single non-bonded force evaluation.
 """
 
-from repro.campaign import ResultStore
-from repro.campaign.workloads import build_workload
-from repro.core import CharacterizationRunner
-from repro.core import runner as runner_mod
+from repro.campaign import CampaignEngine, ResultStore
 from repro.experiments import figure3, figure4
 from repro.instrument import FORCE_EVALUATIONS
 from repro.parallel import MDRunConfig
 
 
-def _store_backed_runner(store_root):
-    system, positions = build_workload("peptide-tiny")
-    return CharacterizationRunner(
-        system=system,
-        positions=positions,
+def _store_backed_engine(store_root):
+    return CampaignEngine(
+        workload="peptide-tiny",
         config=MDRunConfig(n_steps=2, dt=0.0004),
         store=ResultStore(store_root),
     )
@@ -28,15 +23,13 @@ def _store_backed_runner(store_root):
 
 class TestWarmFigureRegeneration:
     def test_second_figure_run_does_zero_md_work(self, tmp_path):
-        cold = _store_backed_runner(tmp_path / "cache")
+        cold = _store_backed_engine(tmp_path / "cache")
         first = figure3(cold)
         assert first.records
         cold.store.close()
 
-        # fresh runner + reopened store; drop the in-process result memo
-        # so only the on-disk cache can answer
-        runner_mod._RUN_MEMO.clear()
-        warm = _store_backed_runner(tmp_path / "cache")
+        # a fresh engine over the reopened store: only the disk can answer
+        warm = _store_backed_engine(tmp_path / "cache")
         before = FORCE_EVALUATIONS.snapshot()
         second = figure3(warm)
         assert FORCE_EVALUATIONS.delta(before) == 0
@@ -45,9 +38,8 @@ class TestWarmFigureRegeneration:
     def test_figures_sharing_points_share_the_cache(self, tmp_path):
         """Figure 4 plots the same reference-case sweep figure 3 runs:
         with a shared store the second figure is free."""
-        runner = _store_backed_runner(tmp_path / "cache")
-        figure3(runner)
-        runner_mod._RUN_MEMO.clear()
+        engine = _store_backed_engine(tmp_path / "cache")
+        figure3(engine)
         before = FORCE_EVALUATIONS.snapshot()
-        figure4(runner)
+        figure4(engine)
         assert FORCE_EVALUATIONS.delta(before) == 0
